@@ -4,9 +4,9 @@ A product of the masked encoding polynomials lives on a fixed monomial
 support in the (x-degree, y-degree) plane: a full rectangle of width
 K+T and height L, plus a strip of height m covering the x-degrees
 K+T .. 2K+2T-2 contributed by the mask cross terms.  This module builds
-that support, evaluates the encoding polynomials and their formal
-y-derivatives, and produces the per-response rows of the interpolation
-system.
+that support and the generator matrices of y-derivative monomial
+evaluations from which the coded shares and the per-response rows of
+the interpolation system are both taken.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidOrderError, ParameterError
-from .fieldcore import PrimeField, prime_field
+from .fieldcore import PrimeField, mat_mul_mod, prime_field
 
 
 class EvalPoint(NamedTuple):
@@ -115,10 +115,103 @@ def build_support(params: SchemeParams) -> MonomialSupport:
     return MonomialSupport(tuple(sorted(entries)))
 
 
-def _check_same_shape(mats: Sequence[np.ndarray], what: str) -> None:
-    shapes = {m.shape for m in mats}
+def derivative_matrix(
+    rows: Sequence[tuple[EvalPoint, int]],
+    columns: Sequence[tuple[int, int]],
+    field: PrimeField,
+) -> np.ndarray:
+    """Generator matrix of y-derivative monomial evaluations over F_q.
+
+    Entry (i, j) is fall(dy, o) * x^dx * y^(dy - o) for row i = (point
+    (x, y), order o) and column j = monomial (dx, dy): the order-o formal
+    y-derivative of x^dx y^dy evaluated at the point.  It vanishes when
+    dy < o, where the falling factorial has a zero factor.  Encoding
+    shares, interpolation rows and their one-row forms below all come
+    from this one builder.
+    """
+    q = field.q
+    cols = np.asarray(columns, dtype=np.int64).reshape(-1, 2)
+    dx, dy = cols[:, 0], cols[:, 1]
+    orders = np.array([order for _, order in rows], dtype=np.int64)
+    top_dx = int(dx.max(initial=0))
+    top_dy = int(dy.max(initial=0))
+    top_order = int(orders.max(initial=0))
+    x_pow = _power_table([pt.x for pt, _ in rows], top_dx, field)
+    y_pow = _power_table([pt.y for pt, _ in rows], top_dy, field)
+    fall = np.array(
+        [[falling_factorial(d, o) % q for d in range(top_dy + 1)]
+         for o in range(top_order + 1)],
+        dtype=field.dtype,
+    )
+    y_exp = np.maximum(dy[None, :] - orders[:, None], 0)
+    out = fall[orders[:, None], dy[None, :]] * x_pow[:, dx] % q
+    return out * np.take_along_axis(y_pow, y_exp, axis=1) % q
+
+
+def _power_table(bases: Sequence[int], top: int, field: PrimeField) -> np.ndarray:
+    """Row i holds bases[i]^0 .. bases[i]^top over F_q."""
+    q = field.q
+    base = np.array([int(b) % q for b in bases], dtype=field.dtype)
+    out = np.ones((len(base), top + 1), dtype=field.dtype)
+    for d in range(1, top + 1):
+        out[:, d] = out[:, d - 1] * base % q
+    return out
+
+
+def share_monomials_a(params: SchemeParams) -> list[tuple[int, int]]:
+    """Columns of the left-matrix generator: x^0 .. x^(K+T-1)."""
+    return [(k, 0) for k in range(params.K + params.T)]
+
+
+def share_monomials_b(params: SchemeParams) -> list[tuple[int, int]]:
+    """Columns of the right-matrix generator.
+
+    y^0 .. y^(L-1) for the partitions, then x^(K+t) y^j for the masks
+    S[t][j], matching the row order of stack_coefficients_b.
+    """
+    return [(0, j) for j in range(params.L)] + [
+        (params.K + t, j) for t in range(params.T) for j in range(params.m)
+    ]
+
+
+def _stack(blocks: Sequence[np.ndarray], what: str, field: PrimeField) -> np.ndarray:
+    """One canonical row per coefficient block, each block flattened."""
+    shapes = {blk.shape for blk in blocks}
     if len(shapes) > 1:
         raise DimensionMismatchError(f"{what} blocks disagree in shape: {shapes}")
+    return field.asarray(np.stack(blocks).reshape(len(blocks), -1))
+
+
+def stack_coefficients_a(
+    params: SchemeParams,
+    parts_a: Sequence[np.ndarray],
+    masks_r: Sequence[np.ndarray],
+) -> np.ndarray:
+    """(K+T) x (block size) coefficients of the masked left polynomial."""
+    if len(parts_a) != params.K or len(masks_r) != params.T:
+        raise DimensionMismatchError(
+            f"expected {params.K} partitions and {params.T} masks, "
+            f"got {len(parts_a)} and {len(masks_r)}"
+        )
+    return _stack(list(parts_a) + list(masks_r), "left-matrix", params.field)
+
+
+def stack_coefficients_b(
+    params: SchemeParams,
+    parts_b: Sequence[np.ndarray],
+    masks_s: Sequence[Sequence[np.ndarray]],
+) -> np.ndarray:
+    """(L+T*m) x (block size) coefficients of the masked right polynomial."""
+    if len(parts_b) != params.L:
+        raise DimensionMismatchError(
+            f"expected {params.L} partitions, got {len(parts_b)}"
+        )
+    if len(masks_s) != params.T or any(len(row) != params.m for row in masks_s):
+        raise DimensionMismatchError(
+            f"expected a {params.T} x {params.m} mask grid"
+        )
+    flat = list(parts_b) + [s for row in masks_s for s in row]
+    return _stack(flat, "right-matrix", params.field)
 
 
 def eval_coded_a(
@@ -130,20 +223,11 @@ def eval_coded_a(
     """Evaluate the masked left-matrix polynomial at x.
 
     The polynomial has the K partitions on x^0 .. x^(K-1) and the T
-    masks on x^K .. x^(K+T-1); evaluation is Horner in x.
+    masks on x^K .. x^(K+T-1).
     """
-    if len(parts_a) != params.K or len(masks_r) != params.T:
-        raise DimensionMismatchError(
-            f"expected {params.K} partitions and {params.T} masks, "
-            f"got {len(parts_a)} and {len(masks_r)}"
-        )
-    coeffs = list(parts_a) + list(masks_r)
-    _check_same_shape(coeffs, "left-matrix")
-    q = params.q
-    acc = coeffs[-1] % q
-    for c in reversed(coeffs[:-1]):
-        acc = (acc * (x % q) + c) % q
-    return acc
+    coeffs = stack_coefficients_a(params, parts_a, masks_r)
+    gen = derivative_matrix([(EvalPoint(x, 0), 0)], share_monomials_a(params), params.field)
+    return mat_mul_mod(gen, coeffs, params.q).reshape(parts_a[0].shape)
 
 
 def eval_coded_b_derivative(
@@ -164,57 +248,16 @@ def eval_coded_b_derivative(
         raise InvalidOrderError(
             f"derivative order {order} outside [0, {params.m - 1}]"
         )
-    if len(parts_b) != params.L:
-        raise DimensionMismatchError(
-            f"expected {params.L} partitions, got {len(parts_b)}"
-        )
-    if len(masks_s) != params.T or any(len(row) != params.m for row in masks_s):
-        raise DimensionMismatchError(
-            f"expected a {params.T} x {params.m} mask grid"
-        )
-    flat = list(parts_b) + [s for row in masks_s for s in row]
-    _check_same_shape(flat, "right-matrix")
-    q = params.q
-    x, y = point.x % q, point.y % q
-
-    def horner_derivative(coeffs_by_degree: Sequence[np.ndarray]) -> np.ndarray:
-        # coeffs_by_degree[d] multiplies y^d; differentiate then evaluate.
-        terms = [
-            c * (falling_factorial(d, order) % q) % q
-            for d, c in enumerate(coeffs_by_degree)
-            if d >= order
-        ]
-        acc = terms[-1]
-        for t in reversed(terms[:-1]):
-            acc = (acc * y + t) % q
-        return acc
-
-    total = horner_derivative(parts_b)
-    if params.T:
-        xk = pow(x, params.K, q)
-        mask_acc = horner_derivative(masks_s[-1])
-        for row in reversed(masks_s[:-1]):
-            mask_acc = (mask_acc * x + horner_derivative(row)) % q
-        total = (total + mask_acc * xk) % q
-    return total
+    coeffs = stack_coefficients_b(params, parts_b, masks_s)
+    gen = derivative_matrix([(point, order)], share_monomials_b(params), params.field)
+    return mat_mul_mod(gen, coeffs, params.q).reshape(parts_b[0].shape)
 
 
 def derivative_row(
     support: MonomialSupport, point: EvalPoint, order: int, field: PrimeField
 ) -> np.ndarray:
     """Row of order-th y-derivative monomial evaluations at one point."""
-    q = field.q
-    x, y = point.x % q, point.y % q
-    vals = []
-    for dx, dy in support.entries:
-        if dy < order:
-            vals.append(0)
-        else:
-            v = falling_factorial(dy, order) % q
-            v = v * pow(x, dx, q) % q
-            v = v * pow(y, dy - order, q) % q
-            vals.append(v)
-    return field.asarray(vals)
+    return derivative_matrix([(point, order)], support.entries, field)[0]
 
 
 def xi(a: int, b: int) -> int:

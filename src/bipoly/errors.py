@@ -46,6 +46,10 @@ class OrderViolationError(BipolyError):
     """A response set breaks the in-order computation contract for a worker."""
 
 
+class ResponseContractError(BipolyError):
+    """A response set is inconsistent, e.g. one worker reports two points."""
+
+
 class DecodeSingularError(BipolyError):
     """The interpolation matrix is singular for the drawn evaluation points."""
 

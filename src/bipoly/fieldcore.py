@@ -5,6 +5,12 @@ Matrices are plain numpy arrays holding canonical representatives in
 vectorised with widened intermediates; for larger moduli (up to 2**62)
 arrays fall back to object dtype with Python integers, trading speed for
 the same exact results.  No function mutates its inputs.
+
+Matrix products for q < 2**31 go through one kernel, :func:`mat_mul_mod`:
+the operands are split into 16-bit limbs, the limb products run as
+float64 BLAS products whose sums stay exact below 2**53, and the pieces
+are recombined mod q with shifts (the limb-splitting technique of
+FFLAS-FFPACK, Dumas, Giorgi and Pernet, ACM TOMS 2008).
 """
 
 from __future__ import annotations
@@ -25,6 +31,11 @@ MAX_MODULUS = 1 << 62
 
 # Moduli below this get the vectorised int64 kernels (a*b < 2**62).
 _INT64_LIMIT = 1 << 31
+
+# float64 holds every integer of magnitude up to 2**53 exactly.
+_FLOAT_EXACT = 1 << 53
+_LIMB_BITS = 16
+_LIMB_MASK = (1 << _LIMB_BITS) - 1
 
 # Witness set making Miller-Rabin deterministic for all 64-bit inputs.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -145,16 +156,7 @@ class PrimeField:
             raise DimensionMismatchError(
                 f"cannot multiply shapes {a.shape} x {b.shape}"
             )
-        if self.dtype is object:
-            return np.dot(a.astype(object), b.astype(object)) % self.q
-        if a.shape[1] > 32768:
-            # int64 accumulators would overflow; do it exactly instead.
-            return (np.dot(a.astype(object), b.astype(object)) % self.q).astype(np.int64)
-        # Split the left operand into 16-bit halves so each int64 dot
-        # product stays below 2**63 for q < 2**31.
-        hi, lo = a >> 16, a & 0xFFFF
-        part = ((hi @ b) % self.q << 16) + (lo @ b) % self.q
-        return part % self.q
+        return mat_mul_mod(a, b, self.q)
 
     def mat_add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if a.shape != b.shape:
@@ -251,6 +253,92 @@ class PrimeField:
             wiped = below[:, :, col][:, :, None] * a[:, col : col + 1, :] % self.q
             a[:, col + 1 :, :] = (scaled - wiped) % self.q
         return ~singular
+
+
+def exact_inner_limit(q: int, split_right: bool = True) -> int:
+    """Largest inner dimension whose limb products sum exactly in float64.
+
+    Both operands hold canonical residues below q < 2**31 and split into
+    a high limb (at most (q-1) >> 16) and a low 16-bit limb.  With
+    `split_right` the sums hi.hi, hi.lo + lo.hi and lo.lo have terms of
+    at most hi*hi, 2*hi*lo and lo*lo; without it the right operand stays
+    whole and each term is at most max(hi, lo) * (q-1).
+    """
+    hi, lo = (q - 1) >> _LIMB_BITS, min(q - 1, _LIMB_MASK)
+    if split_right:
+        widest = max(hi * hi, 2 * hi * lo, lo * lo)
+    else:
+        widest = max(hi, lo) * (q - 1)
+    return _FLOAT_EXACT // max(widest, 1)
+
+
+def _limbs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    x = np.asarray(x, dtype=np.int64)
+    return (x >> _LIMB_BITS).astype(np.float64), (x & _LIMB_MASK).astype(np.float64)
+
+
+def _reduce(x: np.ndarray, q: int) -> np.ndarray:
+    """x mod q in place for nonnegative int64 x (floor division is cheaper than %)."""
+    x -= x // q * q
+    return x
+
+
+def _shift_add(hi: np.ndarray, lo: np.ndarray, q: int) -> np.ndarray:
+    """(hi * 2**16 + lo) mod q for hi in [0, q) and exact float64 sums lo < 2**53."""
+    hi <<= _LIMB_BITS
+    hi += lo.astype(np.int64)
+    return _reduce(hi, q)
+
+
+def _limb_product(a: np.ndarray, b: np.ndarray, q: int, split_right: bool) -> np.ndarray:
+    """a @ b mod q for an inner dimension within exact_inner_limit(q, split_right)."""
+    a_hi, a_lo = _limbs(a)
+    if not split_right:
+        bf = np.asarray(b, dtype=np.float64)
+        out = _reduce((a_hi @ bf).astype(np.int64), q)
+        return _shift_add(out, a_lo @ bf, q)
+    b_hi, b_lo = _limbs(b)
+    # The cross term runs as two products summed in float64 rather than
+    # one concatenated product: the copies cost more than a product saves.
+    out = _reduce((a_hi @ b_hi).astype(np.int64), q)
+    out = _shift_add(out, a_hi @ b_lo + a_lo @ b_hi, q)
+    return _shift_add(out, a_lo @ b_lo, q)
+
+
+def kernel_operand(x: np.ndarray, q: int) -> np.ndarray:
+    """x as mat_mul_mod reads it fastest when it is reused across calls.
+
+    Below 2**31 that is float64, which holds canonical residues exactly;
+    larger moduli keep the array as it is.
+    """
+    return np.asarray(x, dtype=np.float64) if q < _INT64_LIMIT else x
+
+
+def mat_mul_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
+    """Exact a @ b over F_q for canonical 2-D operands of matching shapes.
+
+    Operands are integer arrays, or float64 arrays from kernel_operand.
+
+    For q < 2**31 the result is int64 and comes from float64 BLAS
+    products of 16-bit limbs.  Only the left operand is split when the
+    unsplit right operand keeps the sums exact, as for the short inner
+    dimensions of encode's generator products; inner dimensions beyond
+    the exact limit are processed in chunks reduced mod q between them.
+    Larger moduli multiply Python integers in object arrays.
+    """
+    if q >= _INT64_LIMIT:
+        return np.dot(a.astype(object), b.astype(object)) % q
+    inner = a.shape[1]
+    split_right = inner > exact_inner_limit(q, split_right=False)
+    limit = exact_inner_limit(q, split_right)
+    if inner <= limit:
+        return _limb_product(a, b, q, split_right)
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+    for start in range(0, inner, limit):
+        chunk = slice(start, start + limit)
+        out += _limb_product(a[:, chunk], b[chunk], q, split_right)
+        _reduce(out, q)
+    return out
 
 
 @functools.lru_cache(maxsize=None)

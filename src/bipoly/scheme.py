@@ -21,13 +21,16 @@ from .bivariate import (
     MonomialSupport,
     SchemeParams,
     build_support,
-    derivative_row,
-    eval_coded_a,
-    eval_coded_b_derivative,
+    derivative_matrix,
+    share_monomials_a,
+    share_monomials_b,
+    stack_coefficients_a,
+    stack_coefficients_b,
 )
 from .errors import (
     BudgetTooSmallError,
     DecodeSingularError,
+    DimensionMismatchError,
     FieldTooSmallError,
     IndivisibleDimensionsError,
     InvalidOrderError,
@@ -35,8 +38,9 @@ from .errors import (
     NotEnoughResponsesError,
     OrderViolationError,
     ParameterError,
+    ResponseContractError,
 )
-from .fieldcore import prime_field
+from .fieldcore import kernel_operand, mat_mul_mod, prime_field
 
 
 @dataclass(frozen=True)
@@ -216,16 +220,24 @@ def encode(
         ]
     masks_r = [field.asarray(mk) for mk in masks_r]
     masks_s = [[field.asarray(mk) for mk in row] for row in masks_s]
+    # Shares are generator rows times stacked coefficients, one kernel
+    # call per worker and side so peak memory stays at the shares' size.
+    coeffs_a = kernel_operand(stack_coefficients_a(params, parts_a, masks_r), params.q)
+    coeffs_b = kernel_operand(stack_coefficients_b(params, parts_b, masks_s), params.q)
+    gen_a = derivative_matrix([(pt, 0) for pt in points], share_monomials_a(params), field)
+    gen_b = derivative_matrix(
+        [(pt, order) for pt in points for order in range(params.m)],
+        share_monomials_b(params),
+        field,
+    )
     shares = []
-    for wid, pt in enumerate(points, start=1):
-        share_a = eval_coded_a(params, parts_a, masks_r, pt.x)
-        shares_b = tuple(
-            eval_coded_b_derivative(params, parts_b, masks_s, pt, order)
-            for order in range(params.m)
-        )
+    for i, pt in enumerate(points):
+        share_a = mat_mul_mod(gen_a[i : i + 1], coeffs_a, params.q).reshape(br, s)
+        rows_b = gen_b[i * params.m : (i + 1) * params.m]
+        shares_b = tuple(mat_mul_mod(rows_b, coeffs_b, params.q).reshape(params.m, s, bc))
         shares.append(
             WorkerShare(
-                worker_id=wid, point=pt, q=params.q, share_a=share_a, shares_b=shares_b
+                worker_id=i + 1, point=pt, q=params.q, share_a=share_a, shares_b=shares_b
             )
         )
     return Encoding(shares, list(masks_r), [list(row) for row in masks_s])
@@ -285,17 +297,37 @@ def validate_prefix(results: Sequence[PartialResult], m: int | None = None) -> N
             )
 
 
+def validate_responses(results: Sequence[PartialResult], m: int | None = None) -> None:
+    """Check the whole response contract before a decode.
+
+    On top of validate_prefix: each worker reports one evaluation point
+    across all its results, and every product has the same shape.
+    Distinct workers that share a point are left to the solve, which
+    finds the system singular.
+    """
+    validate_prefix(results, m)
+    points: dict[int, EvalPoint] = {}
+    for res in results:
+        first = points.setdefault(res.worker_id, res.point)
+        if first != res.point:
+            raise ResponseContractError(
+                f"worker {res.worker_id} reports points {tuple(first)} and "
+                f"{tuple(res.point)}; expected one point per worker"
+            )
+    shapes = {np.shape(res.product) for res in results}
+    if len(shapes) > 1:
+        raise DimensionMismatchError(
+            f"result products disagree in shape: {sorted(shapes)}"
+        )
+
+
 def interpolation_matrix(
     params: SchemeParams,
     support: MonomialSupport,
     point_orders: Sequence[tuple[EvalPoint, int]],
 ) -> np.ndarray:
     """Stack derivative-evaluation rows for the given (point, order) pairs."""
-    field = params.field
-    if not point_orders:
-        return np.zeros((0, len(support)), dtype=field.dtype)
-    rows = [derivative_row(support, pt, order, field) for pt, order in point_orders]
-    return np.stack(rows)
+    return derivative_matrix(point_orders, support.entries, params.field)
 
 
 def build_interpolation_matrix(
@@ -329,7 +361,7 @@ def decode(
         raise NotEnoughResponsesError(
             f"{len(results)} responses < recovery threshold {r_th}"
         )
-    validate_prefix(results, params.m)
+    validate_responses(results, params.m)
     chosen = sort_responses(results)[:r_th]
     if support is None:
         support = build_support(params)
@@ -337,22 +369,23 @@ def decode(
     mat = interpolation_matrix(
         params, support, [(res.point, res.order) for res in chosen]
     )
-    rhs = np.stack([field.asarray(res.product).ravel() for res in chosen])
-    coeffs = field.solve_linear(mat, rhs)
-    if coeffs is None:
+    # Only the K*L coefficients of x^k y^l, k < K and l < L, are wanted,
+    # so solve for just those rows of the inverse: row j of inv(mat) is
+    # column j of inv(mat.T), and mat is singular exactly when mat.T is.
+    index = support.index_map()
+    wanted = [index[(k, l)] for k in range(params.K) for l in range(params.L)]
+    rows = field.solve_linear(mat.T, field.identity(r_th)[:, wanted])
+    if rows is None:
         raise DecodeSingularError(
             "interpolation matrix is singular for these evaluation points; "
             "re-encode with fresh points"
         )
-    br, bc = chosen[0].product.shape
-    index = support.index_map()
-    blocks = tuple(
-        tuple(coeffs[index[(k, l)]].reshape(br, bc) for l in range(params.L))
-        for k in range(params.K)
-    )
-    assembled = np.concatenate(
-        [np.concatenate(row, axis=1) for row in blocks], axis=0
-    )
+    rhs = field.asarray(np.stack([np.ravel(res.product) for res in chosen]))
+    coeffs = mat_mul_mod(rows.T, rhs, params.q)
+    br, bc = np.shape(chosen[0].product)
+    grid = coeffs.reshape(params.K, params.L, br, bc)
+    blocks = tuple(tuple(row) for row in grid)
+    assembled = grid.transpose(0, 2, 1, 3).reshape(params.K * br, params.L * bc)
     return DecodedProduct(blocks=blocks, assembled=assembled)
 
 

@@ -14,8 +14,11 @@ Result files hold records of
     worker_id, order, x, y, product (r/K * c/L words, row-major);
 the record count is implied by the file length.
 
-Masks are deliberately absent: serialized bytes model exactly what the
-workers and master exchange.  The layout is bit-exact across platforms.
+Field words (x, y and every matrix entry) are canonical residues below
+q; the loaders reject a blob holding any other field word instead of
+reducing it.  Masks are deliberately absent: serialized bytes model
+exactly what the workers and master exchange.  The layout is bit-exact
+across platforms.
 """
 
 from __future__ import annotations
@@ -93,6 +96,15 @@ def dump_shares(
     return _words_to_bytes(chunks)
 
 
+def _field_words(words: np.ndarray, params: SchemeParams, what: str) -> np.ndarray:
+    """Field words in the field's dtype; every word must be canonical."""
+    if words.size and int(words.max()) >= params.q:
+        raise WireFormatError(
+            f"{what} holds a word >= q={params.q}; field words must be < q"
+        )
+    return words.astype(params.field.dtype)
+
+
 def load_shares(data: bytes) -> tuple[SchemeParams, tuple[int, int, int], list[WorkerShare]]:
     words = _read_words(data)
     params, dims = _parse_header(words)
@@ -104,24 +116,17 @@ def load_shares(data: bytes) -> tuple[SchemeParams, tuple[int, int, int], list[W
         raise WireFormatError(
             f"share payload holds {body.size} words, expected {rec * params.N}"
         )
-    field = params.field
+    records = body.reshape(params.N, rec)
+    # x, y and every matrix word of every record are field elements.
+    fields = _field_words(records[:, 1:], params, "share payload")
     shares = []
-    for i in range(params.N):
-        w = body[i * rec : (i + 1) * rec]
-        wid, x, y = int(w[0]), int(w[1]), int(w[2])
-        off = 3
-        share_a = field.asarray(w[off : off + br * s].astype(np.int64).reshape(br, s))
-        off += br * s
-        blocks = []
-        for _ in range(params.m):
-            blocks.append(
-                field.asarray(w[off : off + s * bc].astype(np.int64).reshape(s, bc))
-            )
-            off += s * bc
+    for wid, rec_fields in zip(records[:, 0], fields):
+        share_a = rec_fields[2 : 2 + br * s].reshape(br, s)
+        blocks = rec_fields[2 + br * s :].reshape(params.m, s, bc)
         shares.append(
             WorkerShare(
-                worker_id=wid,
-                point=EvalPoint(x, y),
+                worker_id=int(wid),
+                point=EvalPoint(int(rec_fields[0]), int(rec_fields[1])),
                 q=params.q,
                 share_a=share_a,
                 shares_b=tuple(blocks),
@@ -160,16 +165,16 @@ def load_results(
         raise WireFormatError(
             f"result payload of {body.size} words is not a multiple of record size {rec}"
         )
-    field = params.field
-    results = []
-    for i in range(body.size // rec):
-        w = body[i * rec : (i + 1) * rec]
-        results.append(
-            PartialResult(
-                worker_id=int(w[0]),
-                order=int(w[1]),
-                point=EvalPoint(int(w[2]), int(w[3])),
-                product=field.asarray(w[4:].astype(np.int64).reshape(br, bc)),
-            )
+    records = body.reshape(-1, rec)
+    # x, y and every product word of every record are field elements.
+    fields = _field_words(records[:, 2:], params, "result payload")
+    results = [
+        PartialResult(
+            worker_id=int(head[0]),
+            order=int(head[1]),
+            point=EvalPoint(int(rec_fields[0]), int(rec_fields[1])),
+            product=rec_fields[2:].reshape(br, bc),
         )
+        for head, rec_fields in zip(records[:, :2], fields)
+    ]
     return params, dims, results

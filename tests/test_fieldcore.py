@@ -6,7 +6,14 @@ from bipoly.errors import (
     NonPrimeModulusError,
     ZeroInverseError,
 )
-from bipoly.fieldcore import PrimeField, is_prime, prime_field
+from bipoly.fieldcore import (
+    PrimeField,
+    exact_inner_limit,
+    is_prime,
+    kernel_operand,
+    mat_mul_mod,
+    prime_field,
+)
 
 BIG_PRIME = 4611686018427387847  # largest prime below 2**62
 
@@ -22,6 +29,14 @@ def naive_mat_mul(a, b, q):
                 acc += int(a[i, k]) * int(b[k, j])
             out[i][j] = acc % q
     return np.array(out, dtype=object)
+
+
+def python_int_mat_mul(a, b, q):
+    """Reference product with Python-int accumulation, for larger shapes."""
+    return np.asarray(a).astype(object).dot(np.asarray(b).astype(object)) % q
+
+
+KERNEL_PRIMES = [2, 3, 65537, 2**31 - 1]
 
 
 def test_is_prime_known_values():
@@ -182,3 +197,96 @@ def test_canonicalisation():
     arr = f.asarray([[-1, 8], [14, 6]])
     assert arr.min() >= 0 and arr.max() < 7
     assert np.array_equal(arr, f.asarray([[6, 1], [0, 6]]))
+
+
+# -- the float64-BLAS kernel ------------------------------------------------
+
+
+@pytest.mark.parametrize("q", KERNEL_PRIMES)
+@pytest.mark.parametrize(
+    "shape", [(1, 1, 1), (3, 4, 5), (48, 240, 48), (5, 20, 300), (7, 70, 3)]
+)
+def test_kernel_matches_python_ints(q, shape):
+    r, s, c = shape
+    f = prime_field(q)
+    rng = np.random.default_rng(r * s + c)
+    a = f.random_matrix(rng, r, s)
+    b = f.random_matrix(rng, s, c)
+    out = f.mat_mul(a, b)
+    assert out.dtype == np.int64
+    assert np.array_equal(out, python_int_mat_mul(a, b, q))
+    top_a = np.full((r, s), q - 1, dtype=np.int64)
+    top_b = np.full((s, c), q - 1, dtype=np.int64)
+    assert np.array_equal(f.mat_mul(top_a, top_b), python_int_mat_mul(top_a, top_b, q))
+
+
+@pytest.mark.parametrize("q", [65537, 2**31 - 1])
+def test_kernel_exact_at_the_inner_limit_and_beyond(q):
+    # All entries q-1, or 0xFFFF, whose low limbs give the widest sum the
+    # limit allows.  At the limit one product is exact; one past it the
+    # unchunked float64 sum of 0xFFFF**2 terms is off by one, so the
+    # kernel must take the chunked path.
+    limit = exact_inner_limit(q)
+    assert limit < 2**22
+    for value in (q - 1, 0xFFFF):
+        for inner in (limit, limit + 1):
+            a = np.full((1, inner), value, dtype=np.int64)
+            b = np.full((inner, 1), value, dtype=np.int64)
+            want = inner * value * value % q  # Python-int reference
+            assert mat_mul_mod(a, b, q).tolist() == [[want]]
+
+
+def test_kernel_limits_are_derived_from_q():
+    for q in KERNEL_PRIMES:
+        hi, lo = (q - 1) >> 16, min(q - 1, 0xFFFF)
+        widest = max(hi * hi, 2 * hi * lo, lo * lo)
+        assert exact_inner_limit(q) * widest <= 2**53 < (exact_inner_limit(q) + 1) * widest
+        # The unsplit right operand keeps whole residues below q.
+        assert exact_inner_limit(q, split_right=False) * max(hi, lo) * (q - 1) <= 2**53
+    assert exact_inner_limit(2**31 - 1, split_right=False) == 64
+
+
+@pytest.mark.parametrize("q", KERNEL_PRIMES + [BIG_PRIME])
+@pytest.mark.parametrize("shape", [(0, 3, 2), (3, 0, 2), (3, 2, 0), (0, 0, 0)])
+def test_kernel_zero_size_dimensions(q, shape):
+    r, s, c = shape
+    f = prime_field(q)
+    out = f.mat_mul(f.zeros(r, s), f.zeros(s, c))
+    assert out.shape == (r, c)
+    assert not np.asarray(out, dtype=object).any()
+
+
+@pytest.mark.parametrize("q", KERNEL_PRIMES)
+def test_kernel_transposed_and_strided_inputs(q):
+    f = prime_field(q)
+    rng = np.random.default_rng(q % 1000)
+    big = f.random_matrix(rng, 90, 120)
+    cases = [
+        (big.T[:30], big[:, ::3]),  # transposed, column-strided
+        (big[::2, 1::4], big[5:35, ::7]),  # strided both ways
+        (np.asfortranarray(big[:20, :90]), big.T[:90, :9]),
+    ]
+    for a, b in cases:
+        assert not (a.flags.c_contiguous and b.flags.c_contiguous)
+        assert np.array_equal(f.mat_mul(a, b), python_int_mat_mul(a, b, q))
+
+
+def test_kernel_never_returns_object_dtype_below_2_31():
+    for q in KERNEL_PRIMES:
+        f = prime_field(q)
+        a = np.array([[q - 1, 1], [0, q - 1]], dtype=object)  # object input
+        out = f.mat_mul(a, f.asarray([[1], [q - 1]]))
+        assert out.dtype == np.int64
+        assert np.array_equal(out, python_int_mat_mul(a, [[1], [q - 1]], q))
+    big = prime_field(BIG_PRIME)
+    assert big.mat_mul(big.identity(2), big.identity(2)).dtype == object
+
+
+@pytest.mark.parametrize("q", [101, 2**31 - 1, BIG_PRIME])
+def test_kernel_operand_is_reusable(q):
+    f = prime_field(q)
+    rng = np.random.default_rng(7)
+    a = f.random_matrix(rng, 4, 6)
+    b = f.random_matrix(rng, 6, 9)
+    prepared = kernel_operand(b, q)
+    assert np.array_equal(mat_mul_mod(a, prepared, q), python_int_mat_mul(a, b, q))

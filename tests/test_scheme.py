@@ -1,10 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from bipoly.bivariate import EvalPoint, SchemeParams, build_support, falling_factorial
 from bipoly.errors import (
+    BipolyError,
     BudgetTooSmallError,
     DecodeSingularError,
+    DimensionMismatchError,
     FieldTooSmallError,
     IndivisibleDimensionsError,
     InvalidOrderError,
@@ -353,6 +357,26 @@ def test_decode_singular_on_repeated_points():
     assert len(order0) == recovery_threshold(p)
     with pytest.raises(DecodeSingularError):
         decode(p, order0)
+
+
+def test_decode_rejects_products_of_different_shapes():
+    p = make_params(2, 2, 1, 2, 6, q=Q31)
+    _, _, _, results, _ = run_pipeline(p, 4, 4, 4)
+    bad = list(results)
+    bad[-1] = replace(bad[-1], product=bad[-1].product[:, :1])
+    with pytest.raises(DimensionMismatchError):
+        decode(p, bad)
+
+
+def test_decode_rejects_two_points_for_one_worker():
+    p = make_params(2, 2, 1, 2, 6, q=Q31)
+    _, _, _, results, _ = run_pipeline(p, 4, 4, 4)
+    bad = list(results)
+    moved = EvalPoint((bad[1].point.x + 1) % Q31, bad[1].point.y)
+    assert bad[1].worker_id == bad[0].worker_id
+    bad[1] = replace(bad[1], point=moved)
+    with pytest.raises(BipolyError, match="one point per worker"):
+        decode(p, bad)
 
 
 def test_decode_mask_freedom():

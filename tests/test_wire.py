@@ -88,3 +88,31 @@ def test_share_count_mismatch_rejected():
     p, dims, shares, _ = pipeline(101)
     with pytest.raises(WireFormatError):
         wire.dump_shares(p, dims, shares[:-1])
+
+
+def _with_word(blob, index, value):
+    words = np.frombuffer(blob, dtype="<u8").copy()
+    words[index] = value
+    return words.tobytes()
+
+
+@pytest.mark.parametrize("q", [101, BIG_PRIME])
+@pytest.mark.parametrize("bad", ["q", "max"])
+def test_loaders_reject_non_canonical_words(q, bad):
+    p, dims, shares, results = pipeline(q)
+    value = q if bad == "q" else 2**64 - 1
+    up = wire.dump_shares(p, dims, shares)
+    down = wire.dump_results(p, dims, results)
+    # Share record: worker_id, x, y, A-share, B-shares; result record:
+    # worker_id, order, x, y, product.  Header is 11 words.
+    # Indices: x, y, first A-share word, last B-share word.
+    for index in (12, 13, 14, len(up) // 8 - 1):
+        with pytest.raises(WireFormatError, match="field words must be < q"):
+            wire.load_shares(_with_word(up, index, value))
+    # Indices: x, y, first product word, last product word.
+    for index in (13, 14, 15, len(down) // 8 - 1):
+        with pytest.raises(WireFormatError, match="field words must be < q"):
+            wire.load_results(_with_word(down, index, value))
+    # q - 1 is canonical and loads unchanged.
+    _, _, loaded = wire.load_shares(_with_word(up, 14, q - 1))
+    assert int(loaded[0].share_a[0, 0]) == q - 1
