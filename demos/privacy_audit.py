@@ -1,4 +1,4 @@
-"""Audit the masking: rank sweeps at scale, exact enumeration at toy scale.
+"""Audit the masking: closed-form sweeps at scale, exact enumeration at toy scale.
 
 Full-rank mask-coefficient matrices mean every coalition observation is
 one-time-padded.  The audit checks every possible coalition, then

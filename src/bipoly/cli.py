@@ -227,7 +227,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 scheme,
                 trials,
                 seed,
-                threads=args.threads,
             )
         )
     text = sweep_rows_to_csv(rows)
@@ -350,12 +349,11 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--scheme", choices=[PROPOSED, GASP, "both"], default="both")
     simulate.add_argument("--trials", type=int, default=None)
     simulate.add_argument("--seed", type=int, default=None)
-    simulate.add_argument("--threads", type=int, default=os.cpu_count())
     simulate.add_argument("--out", default=None)
     simulate.set_defaults(func=_cmd_simulate)
 
     privacy = sub.add_parser(
-        "privacy", help="rank sweep over all coalitions, plus toy-scale "
+        "privacy", help="exact privacy sweep over all coalitions, plus toy-scale "
                         "mutual-information enumeration when feasible"
     )
     _add_scheme_args(privacy, {"K": 5, "L": 5, "T": 3, "m": 5, "N": 51,

@@ -125,10 +125,10 @@ class PrimeField:
         """Canonical field array from any integer array-like."""
         arr = np.asarray(values)
         if arr.dtype == object or self.dtype is object:
-            arr = arr.astype(object)
-        else:
-            arr = arr.astype(np.int64)
-        return arr % self.q
+            # Reduce Python ints before any int64 cast: ints >= 2**63 overflow.
+            arr = arr.astype(object) % self.q
+            return arr if self.dtype is object else arr.astype(np.int64)
+        return arr.astype(np.int64) % self.q
 
     def zeros(self, rows: int, cols: int) -> np.ndarray:
         if self.dtype is object:

@@ -5,10 +5,21 @@ polynomial and m*T evaluations (derivatives included) of the masked
 right polynomial.  Privacy holds when the coefficient matrices mapping
 the uniform masks onto those observations have full rank: the masks
 then act as a one-time pad and the coalition's view is independent of
-the inputs.  The rank criterion is validated here in two independent
-ways: structurally (exact rank over F_q, single subsets or batched
-sweeps over every subset) and information-theoretically (exhaustive
-mutual-information enumeration at toy scale).
+the inputs.
+
+For coalition points (x_i, y_i) and K >= 1 full rank has a closed
+form: the x_i mod q are nonzero and pairwise distinct, and q >= m.
+Both matrices factor through V[i, t] = x_i^(K+t):
+
+  * left masks:  a_coeffs = V = diag(x_i^K) * Vandermonde(x_i);
+  * right masks: b_coeffs = blockdiag(W_i) * kron(V, I_m), where
+    W_i[o, j] = fall(j, o) * y_i^(j-o) is upper triangular with
+    diagonal o! for o < m, all nonzero mod q exactly when q >= m.
+
+`sweep_collusion_subsets` evaluates that closed form over every
+subset.  `perfect_privacy_check` (exact rank over F_q, one coalition)
+and `exhaustive_mi_check` (mutual information by enumeration, toy
+scale) test the rank criterion independently of it.
 
 These checks deliberately take the masking dimensions (K, T, m, q)
 directly: the column-partition count L never enters the coalition's
@@ -24,7 +35,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .bivariate import EvalPoint, falling_factorial
+from .bivariate import EvalPoint, derivative_matrix
 from .errors import (
     DuplicatePointsError,
     ParameterError,
@@ -84,25 +95,18 @@ def mask_matrices(
 
     Left masks ride on x^(K+t); right mask (t, j) rides on x^(K+t) y^j,
     so its order-o derivative coefficient is fall(j, o) x^(K+t) y^(j-o).
+    Both are generator matrices of bivariate.derivative_matrix.
     """
     field = prime_field(q)
     _validate_points(points, T)
-    ma = field.zeros(T, T)
-    mb = field.zeros(m * T, m * T)
-    for i, pt in enumerate(points):
-        x, y = pt.x % q, pt.y % q
-        for t in range(T):
-            ma[i, t] = pow(x, K + t, q)
-        for o in range(m):
-            for t in range(T):
-                xpow = pow(x, K + t, q)
-                for j in range(m):
-                    if j < o:
-                        continue
-                    coeff = falling_factorial(j, o) % q
-                    coeff = coeff * xpow % q
-                    coeff = coeff * pow(y, j - o, q) % q
-                    mb[i * m + o, t * m + j] = coeff
+    ma = derivative_matrix(
+        [(pt, 0) for pt in points], [(K + t, 0) for t in range(T)], field
+    )
+    mb = derivative_matrix(
+        [(pt, o) for pt in points for o in range(m)],
+        [(K + t, j) for t in range(T) for j in range(m)],
+        field,
+    )
     return MaskMatrices(a_coeffs=ma, b_coeffs=mb)
 
 
@@ -154,38 +158,9 @@ def collusion_view(
     return CollusionView(tuple(subset), tuple(obs_a), tuple(obs_b))
 
 
-def _power_tables(
-    points: Sequence[EvalPoint], K: int, T: int, m: int, q: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """xpow[i, t] = x_i^(K+t), ypow[i, e] = y_i^e, both int64 mod q."""
-    n = len(points)
-    xpow = np.zeros((n, max(T, 1)), dtype=np.int64)
-    ypow = np.zeros((n, max(m, 1)), dtype=np.int64)
-    for i, pt in enumerate(points):
-        x, y = pt.x % q, pt.y % q
-        acc = pow(x, K, q)
-        for t in range(max(T, 1)):
-            xpow[i, t] = acc
-            acc = acc * x % q
-        acc = 1
-        for e in range(max(m, 1)):
-            ypow[i, e] = acc
-            acc = acc * y % q
-    return xpow, ypow
-
-
-def _fall_table(m: int, q: int) -> np.ndarray:
-    """ft[o, j] = fall(j, o) mod q; zero wherever j < o."""
-    ft = np.zeros((m, m), dtype=np.int64)
-    for o in range(m):
-        for j in range(m):
-            ft[o, j] = falling_factorial(j, o) % q
-    return ft
-
-
 @dataclass(frozen=True)
 class SweepReport:
-    """Result of a rank sweep over coalition subsets."""
+    """Result of a privacy sweep over coalition subsets."""
 
     subsets_checked: int
     failing_subsets: tuple[tuple[int, ...], ...]
@@ -202,43 +177,37 @@ def sweep_collusion_subsets(
     m: int,
     q: int,
     subsets: Iterable[Sequence[int]] | None = None,
-    chunk: int = 50_000,
     max_failures: int = 20,
 ) -> SweepReport:
-    """Rank-check every T-subset of workers in one vectorised pass.
+    """Check every T-subset of workers against the exact privacy criterion.
 
-    Subsets index into `points` (0-based).  Needs q < 2**31 for the
-    batched elimination; the single-subset perfect_privacy_check covers
-    larger fields.  Agreement between the two paths is enforced in the
-    test suite.
+    A coalition is private exactly when its x_i mod q are pairwise
+    distinct and nonzero (nonzero matters for K >= 1) and q >= m.
+    Proof: a_coeffs = diag(x_i^K) * Vandermonde(x_i), and b_coeffs =
+    blockdiag(W_i) * kron(a_coeffs, I_m) with each W_i upper triangular
+    of diagonal 0!, 1!, ..., (m-1)!, all nonzero mod q iff q >= m.
+
+    Subsets index into `points` (0-based) and default to all C(N, T) in
+    lexicographic order.  The report counts every subset checked and
+    lists the first `max_failures` failing ones in enumeration order:
+    exactly those perfect_privacy_check fails.  Works at any supported q.
     """
-    field = prime_field(q)
+    prime_field(q)
     if T == 0:
         return SweepReport(0, ())
     if subsets is None:
         subsets = itertools.combinations(range(len(points)), T)
-    sub_arr = np.array(list(subsets), dtype=np.intp).reshape(-1, T)
-    xpow, ypow = _power_tables(points, K, T, m, q)
-    ft = _fall_table(m, q)
-    # w[i, o, j] = fall(j, o) * y_i^(j-o); the fall factor zeroes j < o,
-    # so the clipped power index never leaks a wrong value.
-    ydiff = np.arange(m)[None, :] - np.arange(m)[:, None]
-    w = ft[None, :, :] * ypow[:, np.clip(ydiff, 0, None)] % q
-    failures: list[tuple[int, ...]] = []
-    checked = 0
-    for lo in range(0, sub_arr.shape[0], chunk):
-        sub = sub_arr[lo : lo + chunk]
-        ma = xpow[sub]  # (S, T, T)
-        xs = ma[:, :, None, :, None]  # worker axis, mask-t axis
-        wb = w[sub][:, :, :, None, :]  # worker axis, order axis, mask-j axis
-        mb = (xs * wb % q).reshape(sub.shape[0], T * m, T * m)
-        ok = field.batched_nonsingular(ma)
-        ok &= field.batched_nonsingular(mb)
-        checked += sub.shape[0]
-        for bad in np.nonzero(~ok)[0]:
-            if len(failures) < max_failures:
-                failures.append(tuple(int(v) for v in sub[bad]))
-    return SweepReport(checked, tuple(failures))
+    sub = np.fromiter(itertools.chain.from_iterable(subsets), dtype=np.intp)
+    sub = sub.reshape(-1, T)
+    xs = np.array([pt.x % q for pt in points], dtype=np.int64)[sub]
+    xs.sort(axis=1)
+    ok = (np.diff(xs, axis=1) != 0).all(axis=1)
+    if K > 0:
+        ok &= xs[:, 0] != 0  # smallest residue of each sorted row
+    if q < m:
+        ok[:] = False
+    failing = sub[~ok][:max_failures]
+    return SweepReport(sub.shape[0], tuple(tuple(map(int, row)) for row in failing))
 
 
 def exhaustive_mi_check(
@@ -263,7 +232,7 @@ def exhaustive_mi_check(
         raise ParameterError(
             "exhaustive enumeration covers single-partition instances (K = 1)"
         )
-    _validate_points(points, T)
+    mats = mask_matrices(points, K, T, m, q)
     if T == 0:
         return 0.0
     n_mask = T + T * m
@@ -273,40 +242,21 @@ def exhaustive_mi_check(
         raise TooLargeToEnumerateError(
             f"{states} states exceed the enumeration limit {_ENUM_LIMIT}"
         )
-    xpow, ypow = _power_tables(points, K, T, m, q)
-    ft = _fall_table(m, q)
     n_tuples = q**n_mask
     idx = np.arange(n_tuples, dtype=np.int64)
-    zero = np.zeros(n_tuples, dtype=np.int64)
-
-    def digit(v: int) -> np.ndarray:
-        return (idx // q**v) % q
-
-    r_digit = [zero if zero_r_masks else digit(t) for t in range(T)]
-    s_digit = [
-        [zero if zero_s_masks else digit(T + t * m + j) for j in range(m)]
-        for t in range(T)
-    ]
+    # Row v holds mask v in every tuple: left masks t, then right masks
+    # (t, j), matching the columns of the coefficient matrices.
+    digits = idx // q ** np.arange(n_mask, dtype=np.int64)[:, None] % q
+    if zero_r_masks:
+        digits[:T] = 0
+    if zero_s_masks:
+        digits[T:] = 0
     # Mask contribution to each view component; components are ordered
     # A-view per worker first, then (worker, order) derivative views.
-    mask_parts: list[np.ndarray] = []
-    for i in range(T):
-        part = zero.copy()
-        for t in range(T):
-            part = (part + r_digit[t] * int(xpow[i, t])) % q
-        mask_parts.append(part)
-    for i in range(T):
-        for o in range(m):
-            part = zero.copy()
-            for t in range(T):
-                for j in range(o, m):
-                    coeff = int(ft[o, j]) * int(xpow[i, t]) % q
-                    coeff = coeff * int(ypow[i, j - o]) % q
-                    part = (part + s_digit[t][j] * coeff) % q
-            mask_parts.append(part)
-    code = np.zeros(n_tuples, dtype=np.int64)
-    for comp, part in enumerate(mask_parts):
-        code += part * q**comp
+    parts = np.concatenate(
+        [mats.a_coeffs @ digits[:T], mats.b_coeffs @ digits[T:]]
+    ) % q
+    code = q ** np.arange(n_view, dtype=np.int64) @ parts
     base_counts = np.bincount(code, minlength=q**n_view)
     grid = base_counts.reshape((q,) * n_view)
     # Axis a of the grid is component n_view-1-a (most significant first).

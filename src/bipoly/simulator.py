@@ -4,15 +4,14 @@ Workers draw a shifted-exponential per-task duration; a worker that is
 slow is slow for all of its sub-tasks, so its j-th result reaches the
 master at j times its duration (communication is instantaneous).  A run
 ends when the recovery-threshold-th result arrives, decode time
-excluded.  Trials use independent child RNG streams derived from
-(seed, trial index), so serial and parallel execution agree bit for
-bit.
+excluded.  A sweep draws one (trials x N) duration matrix from
+default_rng(seed), columns in worker-class order, and reads every
+completion time off it with partial sorts along the rows.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -25,6 +24,10 @@ from .scheme import max_m_for_budget, recovery_threshold, with_m
 
 PROPOSED = "proposed"
 GASP = "gasp"
+
+# Trials per partial sort: bounds the (rows, N*m) arrival temporaries,
+# so memory grows with the (trials, N) duration matrix alone.
+_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -78,62 +81,58 @@ def sample_task_time(lam: float, nu: float, rng: np.random.Generator) -> float:
     return nu + -math.log1p(-u) / lam
 
 
-def _class_durations(cls: WorkerClass, rng: np.random.Generator) -> np.ndarray:
-    u = rng.random(cls.count)
-    return cls.nu + -np.log1p(-u) / cls.lam
+def _durations(
+    classes: Sequence[WorkerClass], trials: int, rng: np.random.Generator
+) -> np.ndarray:
+    """(trials, N) per-task durations, drawn class by class in declaration order."""
+    return np.concatenate(
+        [c.nu + -np.log1p(-rng.random((trials, c.count))) / c.lam for c in classes],
+        axis=1,
+    )
+
+
+def _completion_times(durations: np.ndarray, m: int, scheme_rth: int) -> np.ndarray:
+    """Per-trial arrival time of the scheme_rth-th sub-task result.
+
+    Worker i delivers its j-th result at j times its duration, for
+    j = 1..m; each row of `durations` is one trial.
+    """
+    trials, n_workers = durations.shape
+    if n_workers * m < scheme_rth:
+        raise IncompletableError(
+            f"{n_workers} workers x m={m} tasks cannot reach "
+            f"the threshold {scheme_rth}"
+        )
+    k = scheme_rth - 1
+    out = np.empty(trials)
+    for lo in range(0, trials, _BLOCK_ROWS):
+        block = durations[lo : lo + _BLOCK_ROWS, :, None] * np.arange(1, m + 1)
+        arrivals = block.reshape(block.shape[0], -1)
+        out[lo : lo + _BLOCK_ROWS] = np.partition(arrivals, k, axis=1)[:, k]
+    return out
 
 
 def simulate_once(cfg: SimConfig, rng: np.random.Generator) -> float:
-    """Arrival time of the scheme_rth-th sub-task result in one trial.
-
-    Each worker gets one duration draw (class by class, in declaration
-    order) and delivers its j-th result at j times that duration, for
-    j = 1..m.
-    """
-    if cfg.n_workers * cfg.m < cfg.scheme_rth:
-        raise IncompletableError(
-            f"{cfg.n_workers} workers x m={cfg.m} tasks cannot reach "
-            f"the threshold {cfg.scheme_rth}"
-        )
-    durations = np.concatenate([_class_durations(c, rng) for c in cfg.classes])
-    arrivals = durations[:, None] * np.arange(1, cfg.m + 1)
-    pool = arrivals.ravel()
-    k = cfg.scheme_rth - 1
-    return float(np.partition(pool, k)[k])
+    """Arrival time of the scheme_rth-th sub-task result in one trial."""
+    durations = _durations(cfg.classes, 1, rng)
+    return float(_completion_times(durations, cfg.m, cfg.scheme_rth)[0])
 
 
-def expected_time(
-    cfg: SimConfig, threads: int | None = None, keep_times: bool = False
-) -> SimResult:
+def expected_time(cfg: SimConfig, keep_times: bool = False) -> SimResult:
     """Monte Carlo mean completion time with its standard error.
 
-    Deterministic for a given cfg.seed regardless of `threads`: trial i
-    always consumes the i-th spawned child stream.
+    Deterministic for a given cfg.seed: all cfg.trials trials come from
+    one draw of default_rng(cfg.seed).
     """
-    if cfg.n_workers * cfg.m < cfg.scheme_rth:
-        raise IncompletableError(
-            f"{cfg.n_workers} workers x m={cfg.m} tasks cannot reach "
-            f"the threshold {cfg.scheme_rth}"
-        )
-    children = np.random.SeedSequence(cfg.seed).spawn(cfg.trials)
+    durations = _durations(cfg.classes, cfg.trials, np.random.default_rng(cfg.seed))
+    return _summary(_completion_times(durations, cfg.m, cfg.scheme_rth), keep_times)
 
-    def run(i: int) -> float:
-        return simulate_once(cfg, np.random.default_rng(children[i]))
 
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            times = np.fromiter(
-                pool.map(run, range(cfg.trials)), dtype=float, count=cfg.trials
-            )
-    else:
-        times = np.fromiter(
-            (run(i) for i in range(cfg.trials)), dtype=float, count=cfg.trials
-        )
-    mean = float(times.mean())
-    stderr = float(times.std(ddof=1) / math.sqrt(cfg.trials)) if cfg.trials > 1 else 0.0
+def _summary(times: np.ndarray, keep_times: bool = False) -> SimResult:
+    n = len(times)
     return SimResult(
-        mean_time=mean,
-        std_error=stderr,
+        mean_time=float(times.mean()),
+        std_error=float(times.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0,
         completion_rate=1.0,
         per_trial_times=times if keep_times else None,
     )
@@ -169,21 +168,21 @@ def budget_sweep(
     scheme: str,
     trials: int,
     seed: int,
-    threads: int | None = None,
 ) -> list[SweepRow]:
     """Expected completion time per upload budget, one row per budget.
 
-    Every budget reuses the same seed, so budgets that map to the same
-    (m, threshold) produce identical rows and comparisons across budgets
-    share their random draws.
+    One duration matrix drawn from the seed serves every budget, so
+    budgets that map to the same (m, threshold) produce identical rows
+    and comparisons across budgets (and schemes, under one seed) share
+    their random draws.
     """
+    if trials < 1:
+        raise ParameterError(f"trials must be >= 1, got {trials}")
+    durations = _durations(classes, trials, np.random.default_rng(seed))
     rows = []
     for budget in budgets:
         m, r_th = scheme_point(scheme, budget, params)
-        cfg = SimConfig(
-            classes=tuple(classes), scheme_rth=r_th, m=m, trials=trials, seed=seed
-        )
-        res = expected_time(cfg, threads=threads)
+        res = _summary(_completion_times(durations, m, r_th))
         rows.append(
             SweepRow(
                 scheme=scheme,

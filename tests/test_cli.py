@@ -94,7 +94,7 @@ def test_thresholds_out_reproducible(tmp_path, capsys):
 def test_simulate_bundled_config(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     args = ["simulate", "--config", "homogeneous", "--trials", "20",
-            "--seed", "1", "--threads", "1", "--out", str(out)]
+            "--seed", "1", "--out", str(out)]
     code, _, _ = run(args, capsys)
     assert code == 0
     lines = out.read_text().strip().split("\n")

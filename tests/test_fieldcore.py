@@ -199,6 +199,14 @@ def test_canonicalisation():
     assert np.array_equal(arr, f.asarray([[6, 1], [0, 6]]))
 
 
+def test_asarray_reduces_object_input_to_int64():
+    arr = prime_field(101).asarray(np.array([[2**70, -1], [5, 2**63]], dtype=object))
+    assert arr.dtype == np.int64
+    assert arr.tolist() == [[2**70 % 101, 100], [5, 2**63 % 101]]
+    big = prime_field(BIG_PRIME).asarray(np.array([[2**70]], dtype=object))
+    assert big.dtype == object and big[0, 0] == 2**70 % BIG_PRIME
+
+
 # -- the float64-BLAS kernel ------------------------------------------------
 
 

@@ -155,6 +155,54 @@ def test_sweep_flags_planted_degenerate_point():
     assert (0, 1) in report.failing_subsets
 
 
+def _oracle_failures(pts, K, T, m, q):
+    return tuple(
+        sub
+        for sub in itertools.combinations(range(len(pts)), T)
+        if not perfect_privacy_check([pts[i] for i in sub], K, T, m, q).passed
+    )
+
+
+def test_sweep_matches_rank_oracle_on_random_small_fields():
+    # Draw x from {0, 1, 2} so zero and repeated x (with distinct y,
+    # since the points are distinct tuples) are common; q in {2, 3}
+    # with m up to 4 covers q < m.
+    rng = np.random.default_rng(2026)
+    seen = {"zero_x": 0, "repeated_x": 0, "q_below_m": 0, "passing": 0}
+    for _ in range(150):
+        q = int(rng.choice([2, 3, 5, 7]))
+        T = int(rng.integers(1, 4))
+        m = int(rng.integers(1, 5))
+        K = int(rng.integers(1, 4))
+        grid = [(x, y) for x in range(min(q, 3)) for y in range(q)]
+        if len(grid) < T:
+            continue
+        n = int(rng.integers(T, min(len(grid), 6) + 1))
+        pts = [EvalPoint(*grid[i]) for i in rng.choice(len(grid), n, replace=False)]
+        report = sweep_collusion_subsets(pts, K, T, m, q, max_failures=10**9)
+        assert report.subsets_checked == math.comb(n, T)
+        assert report.failing_subsets == _oracle_failures(pts, K, T, m, q)
+        xs = [p.x for p in pts]
+        seen["zero_x"] += 0 in xs
+        seen["repeated_x"] += len(set(xs)) < len(xs)
+        seen["q_below_m"] += q < m
+        seen["passing"] += len(report.failing_subsets) < report.subsets_checked
+    assert min(seen.values()) > 0, seen
+
+
+def test_sweep_at_the_largest_prime_matches_rank_oracle():
+    q = 4611686018427387847
+    rng = np.random.default_rng(5)
+    xs = [int(v) for v in rng.integers(1, q, size=4, dtype=np.int64)]
+    # plant a repeated x and a zero x among otherwise random points
+    pts = [EvalPoint(x, i) for i, x in enumerate(xs + [xs[1], 0])]
+    report = sweep_collusion_subsets(pts, K=2, T=2, m=2, q=q, max_failures=10**9)
+    assert report.subsets_checked == math.comb(6, 2)
+    assert report.failing_subsets == _oracle_failures(pts, 2, 2, 2, q)
+    assert (1, 4) in report.failing_subsets and (0, 5) in report.failing_subsets
+    assert (0, 1) not in report.failing_subsets
+
+
 # -- exhaustive mutual information --------------------------------------------
 
 

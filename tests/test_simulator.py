@@ -72,13 +72,36 @@ def test_expected_time_single_trial():
     assert res.completion_rate == 1.0
 
 
-def test_expected_time_deterministic_and_thread_invariant():
+def test_expected_time_deterministic_per_seed():
     cfg = SimConfig(one_class(12, 0.8, 0.1), scheme_rth=20, m=2, trials=400, seed=77)
-    serial = expected_time(cfg, keep_times=True)
+    first = expected_time(cfg, keep_times=True)
     again = expected_time(cfg, keep_times=True)
-    threaded = expected_time(cfg, threads=4, keep_times=True)
-    assert np.array_equal(serial.per_trial_times, again.per_trial_times)
-    assert np.array_equal(serial.per_trial_times, threaded.per_trial_times)
+    assert first.per_trial_times.shape == (400,)
+    assert np.array_equal(first.per_trial_times, again.per_trial_times)
+    assert first.mean_time == again.mean_time
+
+
+def test_expected_time_matches_per_trial_loop():
+    # One (trials x N) uniform draw, class by class; trial t completes at
+    # the scheme_rth-th smallest of j * duration over workers and j <= m.
+    classes = (WorkerClass(3, 2.0, 0.1), WorkerClass(4, 0.5, 0.3))
+    trials = 5000  # more than one partial-sort block
+    cfg = SimConfig(classes, scheme_rth=9, m=2, trials=trials, seed=11)
+    got = expected_time(cfg, keep_times=True).per_trial_times
+    rng = np.random.default_rng(11)
+    u = [rng.random((trials, c.count)) for c in classes]
+    for t in range(trials):
+        durations = [c.nu + -np.log1p(-u[k][t]) / c.lam for k, c in enumerate(classes)]
+        arrivals = sorted(float(d) * j for row in durations for d in row for j in (1, 2))
+        assert got[t] == arrivals[8]
+
+
+def test_expected_time_different_seed_different_draws():
+    cfg = SimConfig(one_class(12, 0.8, 0.1), scheme_rth=20, m=2, trials=400, seed=77)
+    other = SimConfig(cfg.classes, scheme_rth=20, m=2, trials=400, seed=78)
+    a = expected_time(cfg, keep_times=True).per_trial_times
+    b = expected_time(other, keep_times=True).per_trial_times
+    assert not np.array_equal(a, b)
 
 
 def test_completion_monotone_in_m():
