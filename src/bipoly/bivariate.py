@@ -17,7 +17,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidOrderError, ParameterError
-from .fieldcore import PrimeField, mat_mul_mod, prime_field
+from .fieldcore import PrimeField, mat_mul_mod, mul_mod, prime_field
 
 
 class EvalPoint(NamedTuple):
@@ -141,20 +141,20 @@ def derivative_matrix(
     fall = np.array(
         [[falling_factorial(d, o) % q for d in range(top_dy + 1)]
          for o in range(top_order + 1)],
-        dtype=field.dtype,
+        dtype=np.int64,
     )
     y_exp = np.maximum(dy[None, :] - orders[:, None], 0)
-    out = fall[orders[:, None], dy[None, :]] * x_pow[:, dx] % q
-    return out * np.take_along_axis(y_pow, y_exp, axis=1) % q
+    out = mul_mod(fall[orders[:, None], dy[None, :]], x_pow[:, dx], q)
+    return mul_mod(out, np.take_along_axis(y_pow, y_exp, axis=1), q)
 
 
 def _power_table(bases: Sequence[int], top: int, field: PrimeField) -> np.ndarray:
     """Row i holds bases[i]^0 .. bases[i]^top over F_q."""
     q = field.q
-    base = np.array([int(b) % q for b in bases], dtype=field.dtype)
-    out = np.ones((len(base), top + 1), dtype=field.dtype)
+    base = np.array([int(b) % q for b in bases], dtype=np.int64)
+    out = np.ones((len(base), top + 1), dtype=np.int64)
     for d in range(1, top + 1):
-        out[:, d] = out[:, d - 1] * base % q
+        out[:, d] = mul_mod(out[:, d - 1], base, q)
     return out
 
 

@@ -1,16 +1,20 @@
 """Prime-field arithmetic and dense exact linear algebra over F_q.
 
-Matrices are plain numpy arrays holding canonical representatives in
-[0, q).  For q below 2**31 the array dtype is int64 and every kernel is
-vectorised with widened intermediates; for larger moduli (up to 2**62)
-arrays fall back to object dtype with Python integers, trading speed for
-the same exact results.  No function mutates its inputs.
+Matrices are int64 numpy arrays holding canonical representatives in
+[0, q) for every supported q < 2**62: a residue fits int64, and so does
+a sum of two.  A product of two residues fits only below 2**31, so every
+product goes through one of three primitives that know the modulus:
+:func:`mat_mul_mod`, the elementwise :func:`mul_mod` and the fused
+elimination update :func:`sub_mul_mod`.  For q >= 2**31 these multiply
+Python integers and cast the reduced result back to int64.  Apart from
+them only :func:`kernel_operand`, which prepares operands for
+mat_mul_mod, branches on the size of q.  No function mutates its inputs.
 
-Matrix products for q < 2**31 go through one kernel, :func:`mat_mul_mod`:
-the operands are split into 16-bit limbs, the limb products run as
-float64 BLAS products whose sums stay exact below 2**53, and the pieces
-are recombined mod q with shifts (the limb-splitting technique of
-FFLAS-FFPACK, Dumas, Giorgi and Pernet, ACM TOMS 2008).
+Matrix products for q < 2**31 go through float64 BLAS: the operands are
+split into 16-bit limbs, the limb products run as float64 products whose
+sums stay exact below 2**53, and the pieces are recombined mod q with
+shifts (the limb-splitting technique of FFLAS-FFPACK, Dumas, Giorgi and
+Pernet, ACM TOMS 2008).
 """
 
 from __future__ import annotations
@@ -20,16 +24,17 @@ import functools
 import numpy as np
 
 from .errors import (
+    BipolyError,
     DimensionMismatchError,
     NonPrimeModulusError,
     ZeroInverseError,
 )
 
-# Largest supported modulus: products of two canonical elements must fit
-# Python's native big ints comfortably and the serialized u64 words.
+# Largest supported modulus: canonical residues and sums of two of them
+# fit int64, and residues fit the serialized u64 words.
 MAX_MODULUS = 1 << 62
 
-# Moduli below this get the vectorised int64 kernels (a*b < 2**62).
+# Below this modulus a product of two residues fits int64 (a*b < 2**62).
 _INT64_LIMIT = 1 << 31
 
 # float64 holds every integer of magnitude up to 2**53 exactly.
@@ -69,12 +74,11 @@ def is_prime(n: int) -> bool:
 class PrimeField:
     """The field F_q for a prime q with 2 <= q < 2**62.
 
-    Scalar helpers work on plain ints; matrix helpers work on numpy
-    arrays of canonical residues.  Use :func:`prime_field` to get a
-    cached instance.
+    Matrix helpers work on int64 numpy arrays of canonical residues.
+    Use :func:`prime_field` to get a cached instance.
     """
 
-    __slots__ = ("q", "dtype")
+    __slots__ = ("q",)
 
     def __init__(self, q: int):
         q = int(q)
@@ -85,7 +89,6 @@ class PrimeField:
         if not is_prime(q):
             raise NonPrimeModulusError(f"field order {q} is not prime")
         self.q = q
-        self.dtype = np.int64 if q < _INT64_LIMIT else object
 
     def __repr__(self) -> str:
         return f"PrimeField({self.q})"
@@ -96,57 +99,35 @@ class PrimeField:
     def __hash__(self) -> int:
         return hash(("PrimeField", self.q))
 
-    # -- scalars ---------------------------------------------------------
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.q
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.q
-
-    def mul(self, a: int, b: int) -> int:
-        return a * b % self.q
-
-    def neg(self, a: int) -> int:
-        return -a % self.q
-
     def inv(self, a: int) -> int:
         """Multiplicative inverse via Fermat exponentiation."""
         if a % self.q == 0:
             raise ZeroInverseError("zero has no multiplicative inverse")
         return pow(a, self.q - 2, self.q)
 
-    def pow(self, a: int, e: int) -> int:
-        return pow(a, e, self.q)
-
     # -- array plumbing --------------------------------------------------
 
     def asarray(self, values) -> np.ndarray:
-        """Canonical field array from any integer array-like."""
+        """Canonical int64 field array from any integer array-like."""
         arr = np.asarray(values)
-        if arr.dtype == object or self.dtype is object:
-            # Reduce Python ints before any int64 cast: ints >= 2**63 overflow.
-            arr = arr.astype(object) % self.q
-            return arr if self.dtype is object else arr.astype(np.int64)
+        if arr.dtype.kind in "fc":
+            raise BipolyError(
+                f"field elements must be integers, got {arr.dtype} input"
+            )
+        if arr.dtype == object or arr.dtype == np.uint64:
+            # Reduce before the int64 cast, which wraps values >= 2**63.
+            return (arr % self.q).astype(np.int64)
         return arr.astype(np.int64) % self.q
 
     def zeros(self, rows: int, cols: int) -> np.ndarray:
-        if self.dtype is object:
-            return np.zeros((rows, cols), dtype=object) + 0
         return np.zeros((rows, cols), dtype=np.int64)
 
     def identity(self, n: int) -> np.ndarray:
-        out = self.zeros(n, n)
-        for i in range(n):
-            out[i, i] = 1
-        return out
+        return np.eye(n, dtype=np.int64)
 
     def random_matrix(self, rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
         """Uniform matrix over F_q, shape (rows, cols)."""
-        arr = rng.integers(0, self.q, size=(rows, cols), dtype=np.int64)
-        if self.dtype is object:
-            arr = arr.astype(object)
-        return arr
+        return rng.integers(0, self.q, size=(rows, cols), dtype=np.int64)
 
     # -- matrix algebra --------------------------------------------------
 
@@ -157,14 +138,6 @@ class PrimeField:
                 f"cannot multiply shapes {a.shape} x {b.shape}"
             )
         return mat_mul_mod(a, b, self.q)
-
-    def mat_add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if a.shape != b.shape:
-            raise DimensionMismatchError(f"cannot add shapes {a.shape} + {b.shape}")
-        return (a + b) % self.q
-
-    def scale(self, c: int, a: np.ndarray) -> np.ndarray:
-        return a * (c % self.q) % self.q
 
     def solve_linear(self, m: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
         """Solve m @ x = rhs by Gauss-Jordan elimination.
@@ -189,15 +162,15 @@ class PrimeField:
             if p != col:
                 aug[[col, p]] = aug[[p, col]]
             inv = self.inv(int(aug[col, col]))
-            aug[col] = aug[col] * inv % self.q
+            aug[col] = mul_mod(aug[col], inv, self.q)
             factors = aug[:, col].copy()
             factors[col] = 0
-            aug = (aug - factors[:, None] * aug[col][None, :]) % self.q
+            aug = sub_mul_mod(aug, factors[:, None], aug[col][None, :], self.q)
         return aug[:, n:]
 
     def rank(self, m: np.ndarray) -> int:
         """Rank over F_q via row elimination with column skipping."""
-        a = self.asarray(m).copy()
+        a = self.asarray(m)
         rows, cols = a.shape
         r = 0
         for col in range(cols):
@@ -210,31 +183,26 @@ class PrimeField:
             if p != r:
                 a[[r, p]] = a[[p, r]]
             inv = self.inv(int(a[r, col]))
-            a[r] = a[r] * inv % self.q
+            a[r] = mul_mod(a[r], inv, self.q)
             if r + 1 < rows:
                 factors = a[r + 1 :, col].copy()
-                a[r + 1 :] = (a[r + 1 :] - factors[:, None] * a[r][None, :]) % self.q
+                a[r + 1 :] = sub_mul_mod(a[r + 1 :], factors[:, None], a[r][None, :], self.q)
             r += 1
         return r
 
     def batched_nonsingular(self, mats: np.ndarray) -> np.ndarray:
         """Non-singularity of a stack of square matrices, shape (B, n, n).
 
-        Vectorised over the batch axis; requires the int64 fast path
-        (q < 2**31).  Uses cross-multiplication instead of pivot
-        normalisation so no batched inversions are needed.
+        Vectorised over the batch axis.  Uses cross-multiplication
+        instead of pivot normalisation so no batched inversions are
+        needed.
         """
-        if self.dtype is object:
-            raise NonPrimeModulusError(
-                "batched non-singularity checks need q < 2**31"
-            )
-        a = np.asarray(mats, dtype=np.int64) % self.q
+        a = self.asarray(mats)
         if a.ndim != 3 or a.shape[1] != a.shape[2]:
             raise DimensionMismatchError(f"expected a (B, n, n) stack, got {a.shape}")
         batch, n, _ = a.shape
         if n == 0:
             return np.ones(batch, dtype=bool)
-        a = a.copy()
         singular = np.zeros(batch, dtype=bool)
         bidx = np.arange(batch)
         for col in range(n):
@@ -249,9 +217,10 @@ class PrimeField:
                 break
             piv = a[:, col, col]
             below = a[:, col + 1 :, :]
-            scaled = piv[:, None, None] * below % self.q
-            wiped = below[:, :, col][:, :, None] * a[:, col : col + 1, :] % self.q
-            a[:, col + 1 :, :] = (scaled - wiped) % self.q
+            scaled = mul_mod(piv[:, None, None], below, self.q)
+            a[:, col + 1 :, :] = sub_mul_mod(
+                scaled, below[:, :, col][:, :, None], a[:, col : col + 1, :], self.q
+            )
         return ~singular
 
 
@@ -305,6 +274,26 @@ def _limb_product(a: np.ndarray, b: np.ndarray, q: int, split_right: bool) -> np
     return _shift_add(out, a_lo @ b_lo, q)
 
 
+def mul_mod(a, b, q: int) -> np.ndarray:
+    """Elementwise a * b mod q for canonical int64 operands; int64 result."""
+    if q < _INT64_LIMIT:
+        return a * b % q
+    a, b = (np.asarray(x, dtype=object) for x in (a, b))
+    return np.asarray(a * b % q, dtype=np.int64)
+
+
+def sub_mul_mod(a, b, c, q: int) -> np.ndarray:
+    """Elementwise (a - b * c) mod q, the row update of an elimination.
+
+    Below 2**31 it is fused so that the update costs one reduction, not
+    two.  Above, only the product runs on Python integers; the
+    subtraction stays in int64, which is cheaper than converting `a`.
+    """
+    if q < _INT64_LIMIT:
+        return (a - b * c) % q
+    return (a - mul_mod(b, c, q)) % q
+
+
 def kernel_operand(x: np.ndarray, q: int) -> np.ndarray:
     """x as mat_mul_mod reads it fastest when it is reused across calls.
 
@@ -319,15 +308,15 @@ def mat_mul_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
 
     Operands are integer arrays, or float64 arrays from kernel_operand.
 
-    For q < 2**31 the result is int64 and comes from float64 BLAS
+    The result is int64.  For q < 2**31 it comes from float64 BLAS
     products of 16-bit limbs.  Only the left operand is split when the
     unsplit right operand keeps the sums exact, as for the short inner
     dimensions of encode's generator products; inner dimensions beyond
     the exact limit are processed in chunks reduced mod q between them.
-    Larger moduli multiply Python integers in object arrays.
+    Larger moduli multiply Python integers.
     """
     if q >= _INT64_LIMIT:
-        return np.dot(a.astype(object), b.astype(object)) % q
+        return (np.dot(a.astype(object), b.astype(object)) % q).astype(np.int64)
     inner = a.shape[1]
     split_right = inner > exact_inner_limit(q, split_right=False)
     limit = exact_inner_limit(q, split_right)

@@ -330,19 +330,6 @@ def interpolation_matrix(
     return derivative_matrix(point_orders, support.entries, params.field)
 
 
-def build_interpolation_matrix(
-    params: SchemeParams,
-    support: MonomialSupport,
-    results: Sequence[PartialResult],
-) -> np.ndarray:
-    """Interpolation matrix of a response set, rows in (worker, order) order."""
-    validate_prefix(results, params.m)
-    ordered = sort_responses(results)
-    return interpolation_matrix(
-        params, support, [(res.point, res.order) for res in ordered]
-    )
-
-
 def decode(
     params: SchemeParams,
     results: Sequence[PartialResult],

@@ -70,11 +70,13 @@ def _parse_header(words: np.ndarray) -> tuple[SchemeParams, tuple[int, int, int]
     return params, (r, s, c)
 
 
-def _flat(arr: np.ndarray) -> np.ndarray:
-    flat = np.asarray(arr).ravel()
-    if flat.dtype == object:
-        flat = np.array([int(v) for v in flat], dtype=np.uint64)
-    return flat.astype(np.uint64)
+def _flat(arr: np.ndarray, shape: tuple[int, int], what: str) -> np.ndarray:
+    """arr as row-major words, after checking it has the block shape of dims."""
+    if np.shape(arr) != shape:
+        raise WireFormatError(
+            f"{what} has block shape {np.shape(arr)}, but dims give {shape}"
+        )
+    return np.ravel(arr)
 
 
 def dump_shares(
@@ -85,24 +87,31 @@ def dump_shares(
     """Serialize all worker shares (header + N fixed-size records)."""
     if len(shares) != params.N:
         raise WireFormatError(f"expected {params.N} shares, got {len(shares)}")
+    r, s, c = dims
+    shape_a, shape_b = (r // params.K, s), (s, c // params.L)
     chunks = [_header(params, dims)]
     for sh in shares:
+        if len(sh.shares_b) != params.m:
+            raise WireFormatError(
+                f"worker {sh.worker_id} holds {len(sh.shares_b)} B-shares, "
+                f"expected m={params.m}"
+            )
         chunks.append(
             np.array([sh.worker_id, sh.point.x, sh.point.y], dtype=np.uint64)
         )
-        chunks.append(_flat(sh.share_a))
+        chunks.append(_flat(sh.share_a, shape_a, f"worker {sh.worker_id} A-share"))
         for blk in sh.shares_b:
-            chunks.append(_flat(blk))
+            chunks.append(_flat(blk, shape_b, f"worker {sh.worker_id} B-share"))
     return _words_to_bytes(chunks)
 
 
 def _field_words(words: np.ndarray, params: SchemeParams, what: str) -> np.ndarray:
-    """Field words in the field's dtype; every word must be canonical."""
+    """Field words as int64; every word must be canonical."""
     if words.size and int(words.max()) >= params.q:
         raise WireFormatError(
             f"{what} holds a word >= q={params.q}; field words must be < q"
         )
-    return words.astype(params.field.dtype)
+    return words.astype(np.int64)
 
 
 def load_shares(data: bytes) -> tuple[SchemeParams, tuple[int, int, int], list[WorkerShare]]:
@@ -141,6 +150,8 @@ def dump_results(
     results: Sequence[PartialResult],
 ) -> bytes:
     """Serialize partial results; the record count is implicit."""
+    r, _, c = dims
+    shape = (r // params.K, c // params.L)
     chunks = [_header(params, dims)]
     for res in results:
         chunks.append(
@@ -148,7 +159,9 @@ def dump_results(
                 [res.worker_id, res.order, res.point.x, res.point.y], dtype=np.uint64
             )
         )
-        chunks.append(_flat(res.product))
+        chunks.append(
+            _flat(res.product, shape, f"worker {res.worker_id} order {res.order} product")
+        )
     return _words_to_bytes(chunks)
 
 

@@ -12,6 +12,7 @@ from bipoly.fieldcore import (
     is_prime,
     kernel_operand,
     mat_mul_mod,
+    mul_mod,
     prime_field,
 )
 
@@ -56,23 +57,22 @@ def test_field_rejects_bad_modulus():
 
 
 def test_dtype_selection():
-    assert prime_field(101).dtype is np.int64
-    assert prime_field(2**31 - 1).dtype is np.int64
-    assert prime_field(BIG_PRIME).dtype is object
-
-
-def test_scalar_add():
-    f = prime_field(7)
-    assert f.add(3, 4) == 0
-    assert f.add(0, 5) == 5
-    assert f.add(6, 1) == 0
+    # One array dtype: int64 at every supported q, big primes included.
+    rng = np.random.default_rng(0)
+    for q in (101, 2**31 - 1, BIG_PRIME):
+        f = prime_field(q)
+        assert not hasattr(f, "dtype")
+        made = [f.zeros(2, 3), f.identity(3), f.random_matrix(rng, 2, 3),
+                f.asarray([[q - 1, -1]])]
+        assert all(arr.dtype == np.int64 for arr in made)
 
 
 def test_scalar_mul():
-    f = prime_field(7)
-    assert f.mul(3, 4) == 5
-    assert f.mul(1, 6) == 6
-    assert f.mul(6, 6) == 1  # (-1)^2
+    assert mul_mod(3, 4, 7) == 5
+    assert mul_mod(1, 6, 7) == 6
+    assert mul_mod(6, 6, 7) == 1  # (-1)^2
+    top = np.array([BIG_PRIME - 1], dtype=np.int64)
+    assert mul_mod(top, top, BIG_PRIME).tolist() == [1]
 
 
 def test_scalar_inv():
@@ -90,7 +90,7 @@ def test_inverse_property(q):
     rng = np.random.default_rng(11)
     for _ in range(50):
         a = int(rng.integers(1, min(q, 2**62)))
-        assert f.mul(a, f.inv(a)) == 1
+        assert a * f.inv(a) % q == 1
 
 
 def test_mat_mul_identity_and_zero():
@@ -135,8 +135,8 @@ def test_mat_mul_associativity_and_distributivity():
             f.mat_mul(f.mat_mul(a, b), c), f.mat_mul(a, f.mat_mul(b, c))
         )
         assert np.array_equal(
-            f.mat_mul(a, f.mat_add(b, c)),
-            f.mat_add(f.mat_mul(a, b), f.mat_mul(a, c)),
+            f.mat_mul(a, (b + c) % 101),
+            (f.mat_mul(a, b) + f.mat_mul(a, c)) % 101,
         )
 
 
@@ -186,10 +186,20 @@ def test_batched_nonsingular_matches_rank():
         assert flags[i] == (f.rank(mats[i]) == 4)
 
 
-def test_batched_nonsingular_big_field_rejected():
-    f = prime_field(BIG_PRIME)
-    with pytest.raises(NonPrimeModulusError):
-        f.batched_nonsingular(np.zeros((1, 2, 2), dtype=np.int64))
+def test_batched_nonsingular_matches_rank_at_big_prime():
+    q = BIG_PRIME
+    f = prime_field(q)
+    rng = np.random.default_rng(6)
+    mats = np.stack([f.random_matrix(rng, 4, 4) for _ in range(12)])
+    mats[1, 3] = mats[1, 0]
+    # Row 2 = row 0 + (q-1) * row 1, formed in Python ints.
+    mats[2, 2] = (mats[2, 0].astype(object) + (q - 1) * mats[2, 1].astype(object)) % q
+    mats[3] = q - 1  # rank 1, and the widest products
+    mats[4] = 0
+    mats[5] = f.identity(4) * (q - 1)
+    flags = f.batched_nonsingular(mats)
+    assert flags.tolist() == [f.rank(mat) == 4 for mat in mats]
+    assert flags[:6].tolist() == [True, False, False, False, False, True]
 
 
 def test_canonicalisation():
@@ -197,6 +207,8 @@ def test_canonicalisation():
     arr = f.asarray([[-1, 8], [14, 6]])
     assert arr.min() >= 0 and arr.max() < 7
     assert np.array_equal(arr, f.asarray([[6, 1], [0, 6]]))
+    words = f.asarray(np.array([[2**64 - 1, 2**63]], dtype=np.uint64))
+    assert words.tolist() == [[(2**64 - 1) % 7, 2**63 % 7]]
 
 
 def test_asarray_reduces_object_input_to_int64():
@@ -204,7 +216,7 @@ def test_asarray_reduces_object_input_to_int64():
     assert arr.dtype == np.int64
     assert arr.tolist() == [[2**70 % 101, 100], [5, 2**63 % 101]]
     big = prime_field(BIG_PRIME).asarray(np.array([[2**70]], dtype=object))
-    assert big.dtype == object and big[0, 0] == 2**70 % BIG_PRIME
+    assert big.dtype == np.int64 and big[0, 0] == 2**70 % BIG_PRIME
 
 
 # -- the float64-BLAS kernel ------------------------------------------------
@@ -279,15 +291,13 @@ def test_kernel_transposed_and_strided_inputs(q):
         assert np.array_equal(f.mat_mul(a, b), python_int_mat_mul(a, b, q))
 
 
-def test_kernel_never_returns_object_dtype_below_2_31():
-    for q in KERNEL_PRIMES:
+def test_kernel_returns_int64_at_every_q():
+    for q in KERNEL_PRIMES + [BIG_PRIME]:
         f = prime_field(q)
         a = np.array([[q - 1, 1], [0, q - 1]], dtype=object)  # object input
         out = f.mat_mul(a, f.asarray([[1], [q - 1]]))
         assert out.dtype == np.int64
         assert np.array_equal(out, python_int_mat_mul(a, [[1], [q - 1]], q))
-    big = prime_field(BIG_PRIME)
-    assert big.mat_mul(big.identity(2), big.identity(2)).dtype == object
 
 
 @pytest.mark.parametrize("q", [101, 2**31 - 1, BIG_PRIME])

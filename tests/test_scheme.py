@@ -18,12 +18,12 @@ from bipoly.errors import (
 )
 from bipoly.fieldcore import prime_field
 from bipoly.scheme import (
-    build_interpolation_matrix,
     compute_all,
     decode,
     encode,
     failure_bound_d,
     field_element_bits,
+    interpolation_matrix,
     max_m_for_budget,
     partition,
     random_prefix_subset,
@@ -36,6 +36,7 @@ from bipoly.scheme import (
 )
 
 Q31 = 2**31 - 1
+BIG_PRIME = 4611686018427387847  # largest prime below 2**62
 
 
 def make_params(K, L, T, m, N, q=Q31):
@@ -137,6 +138,16 @@ def test_encode_share_shapes():
             assert blk.shape == (5, 2)
     assert len(enc.masks_r) == 1
     assert len(enc.masks_s) == 1 and len(enc.masks_s[0]) == 2
+
+
+def test_encode_rejects_float_input():
+    # Truncating 1.7 and 1.5 to 1 would decode to a wrong product.
+    p = make_params(2, 2, 1, 2, 7, q=101)
+    rng = np.random.default_rng(0)
+    with pytest.raises(BipolyError, match="must be integers"):
+        encode(p, np.full((4, 4), 1.7), np.eye(4) * 1.5, rng)
+    with pytest.raises(BipolyError, match="must be integers"):
+        encode(p, np.eye(4, dtype=np.int64), np.eye(4) * 1j, rng)
 
 
 def test_encode_requires_rng_or_full_injection():
@@ -250,11 +261,17 @@ def test_failure_bound_is_integer_across_sweep():
 # -- interpolation matrix -------------------------------------------------------
 
 
+def interpolation_rows(p, results):
+    """The rows decode builds for a response set, in (worker, order) order."""
+    pairs = [(res.point, res.order) for res in sort_responses(results)]
+    return interpolation_matrix(p, build_support(p), pairs)
+
+
 def test_interpolation_matrix_shapes_and_pattern():
     p = make_params(2, 2, 1, 2, 4, q=101)
     _, _, _, results, _ = run_pipeline(p, 4, 3, 4)
     sup = build_support(p)
-    mat = build_interpolation_matrix(p, sup, results)
+    mat = interpolation_rows(p, results)
     assert mat.shape == (8, 10)
     ordered = sort_responses(results)
     # even rows are order-0 monomial evaluations, odd rows their y-derivative
@@ -272,11 +289,9 @@ def test_interpolation_matrix_shapes_and_pattern():
 
 def test_interpolation_matrix_empty_and_single():
     p = make_params(2, 2, 1, 2, 4, q=101)
-    sup = build_support(p)
-    assert build_interpolation_matrix(p, sup, []).shape == (0, 10)
+    assert interpolation_rows(p, []).shape == (0, 10)
     _, _, _, results, _ = run_pipeline(p, 4, 3, 4)
-    one = [results[0]]
-    assert build_interpolation_matrix(p, sup, one).shape == (1, 10)
+    assert interpolation_rows(p, results[:1]).shape == (1, 10)
 
 
 def test_prefix_validation():
@@ -301,12 +316,15 @@ def test_decode_trivial_single_response():
     assert np.array_equal(dec.assembled, p.field.mat_mul(a, b))
 
 
-def test_decode_full_pipeline_matches_oracle():
-    p = make_params(2, 2, 1, 2, 7, q=Q31)
+@pytest.mark.parametrize("q", [101, Q31, BIG_PRIME])
+def test_decode_full_pipeline_matches_oracle(q):
+    p = make_params(2, 2, 1, 2, 7, q=q)
     a, b, _, results, rng = run_pipeline(p, 4, 6, 4, seed=9)
     subset = random_prefix_subset(results, recovery_threshold(p), rng)
     dec = decode(p, subset)
-    assert np.array_equal(dec.assembled, p.field.mat_mul(a, b))
+    want = a.astype(object).dot(b.astype(object)) % q  # Python-int product
+    assert dec.assembled.dtype == np.int64
+    assert np.array_equal(dec.assembled, want)
     assert dec.blocks[1][0].shape == (2, 2)
 
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,7 @@ def test_share_round_trip(q):
     p2, dims2, loaded = wire.load_shares(blob)
     assert p2 == p and dims2 == dims
     assert all(shares_equal(a, b) for a, b in zip(shares, loaded))
+    assert loaded[0].share_a.dtype == np.int64
 
 
 @pytest.mark.parametrize("q", [101, BIG_PRIME])
@@ -47,6 +50,7 @@ def test_result_round_trip(q):
     for r1, r2 in zip(results, loaded):
         assert (r1.worker_id, r1.order, r1.point) == (r2.worker_id, r2.order, r2.point)
         assert np.array_equal(r1.product, r2.product)
+        assert r2.product.dtype == np.int64
 
 
 def test_header_words_little_endian():
@@ -88,6 +92,30 @@ def test_share_count_mismatch_rejected():
     p, dims, shares, _ = pipeline(101)
     with pytest.raises(WireFormatError):
         wire.dump_shares(p, dims, shares[:-1])
+
+
+def test_dump_shares_checks_blocks_against_dims():
+    p, dims, shares, _ = pipeline(101)
+    # dims (4, 6, 4) give (2, 6) A-shares and (6, 2) B-shares.
+    with pytest.raises(WireFormatError, match=r"A-share has block shape \(2, 6\), but dims give \(4, 6\)"):
+        wire.dump_shares(p, (8, 6, 4), shares)
+    with pytest.raises(WireFormatError, match=r"B-share has block shape \(6, 2\), but dims give \(6, 4\)"):
+        wire.dump_shares(p, (4, 6, 8), shares)
+    short = list(shares)
+    short[2] = replace(short[2], shares_b=short[2].shares_b[:1])
+    with pytest.raises(WireFormatError, match="holds 1 B-shares, expected m=2"):
+        wire.dump_shares(p, dims, short)
+
+
+def test_dump_results_checks_blocks_against_dims():
+    p, dims, _, results = pipeline(101)
+    # A blob written under the wrong dims would load as garbage records.
+    with pytest.raises(WireFormatError, match=r"block shape \(2, 2\), but dims give \(4, 2\)"):
+        wire.dump_results(p, (8, 6, 4), results)
+    bad = list(results)
+    bad[-1] = replace(bad[-1], product=bad[-1].product[:, :1])
+    with pytest.raises(WireFormatError, match=r"block shape \(2, 1\)"):
+        wire.dump_results(p, dims, bad)
 
 
 def _with_word(blob, index, value):
