@@ -157,13 +157,20 @@ def _cmd_thresholds(args: argparse.Namespace) -> int:
 # -- simulate -----------------------------------------------------------
 
 
+def _config_value(path: str, sec: configparser.SectionProxy, key: str, convert):
+    if key not in sec:
+        raise ParameterError(f"{path}: [{sec.name}] section lacks the {key!r} key")
+    return convert(sec[key])
+
+
 def load_sim_config(path: str) -> dict:
     """Parse a key=value simulation config.
 
     Sections: [scheme] with K, L, T, q; [sim] with trials, budgets and an
     optional seed; one [class.NAME] per worker class with count, lambda,
-    nu.  Bundled configs can be named directly ('heterogeneous' or
-    'homogeneous').
+    nu.  A missing key raises ParameterError naming the file, the section
+    and the key.  Bundled configs can be named directly ('heterogeneous'
+    or 'homogeneous').
     """
     if not os.path.exists(path) and not path.endswith(".cfg"):
         bundled = resources.files("bipoly") / "configs" / f"{path}.cfg"
@@ -184,27 +191,27 @@ def load_sim_config(path: str) -> dict:
         sec = parser[section]
         classes.append(
             WorkerClass(
-                count=sec.getint("count"),
-                lam=float(sec["lambda"]),
-                nu=float(sec["nu"]),
+                count=_config_value(path, sec, "count", int),
+                lam=_config_value(path, sec, "lambda", float),
+                nu=_config_value(path, sec, "nu", float),
             )
         )
     if not classes:
         raise ParameterError(f"{path}: no [class.*] sections")
     n_workers = sum(c.count for c in classes)
     params = SchemeParams(
-        K=scheme_sec.getint("K"),
-        L=scheme_sec.getint("L"),
-        T=scheme_sec.getint("T"),
+        K=_config_value(path, scheme_sec, "K", int),
+        L=_config_value(path, scheme_sec, "L", int),
+        T=_config_value(path, scheme_sec, "T", int),
         m=1,
         N=n_workers,
-        q=scheme_sec.getint("q"),
+        q=_config_value(path, scheme_sec, "q", int),
     )
     sim_sec = parser["sim"]
     return {
         "params": params,
         "classes": classes,
-        "trials": sim_sec.getint("trials"),
+        "trials": _config_value(path, sim_sec, "trials", int),
         "budgets": _parse_budgets(sim_sec.get("budgets", "2-10")),
         "seed": sim_sec.getint("seed", fallback=None),
     }
@@ -252,6 +259,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_privacy(args: argparse.Namespace) -> int:
     params = SchemeParams(K=args.K, L=args.L, T=args.T, m=args.m, N=args.N, q=args.q)
+    if args.sweeps < 1:
+        raise ParameterError(f"sweeps must be >= 1, got {args.sweeps}")
     n_subsets = math.comb(params.N, params.T)
     if n_subsets > 2_000_000:
         raise ParameterError(

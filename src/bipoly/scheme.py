@@ -301,7 +301,7 @@ def validate_responses(results: Sequence[PartialResult], m: int | None = None) -
     """Check the whole response contract before a decode.
 
     On top of validate_prefix: each worker reports one evaluation point
-    across all its results, and every product has the same shape.
+    across all its results, and every product has the same 2-D shape.
     Distinct workers that share a point are left to the solve, which
     finds the system singular.
     """
@@ -315,6 +315,10 @@ def validate_responses(results: Sequence[PartialResult], m: int | None = None) -
                 f"{tuple(res.point)}; expected one point per worker"
             )
     shapes = {np.shape(res.product) for res in results}
+    if any(len(shape) != 2 for shape in shapes):
+        raise DimensionMismatchError(
+            f"result products must be 2-D, got shapes {sorted(shapes)}"
+        )
     if len(shapes) > 1:
         raise DimensionMismatchError(
             f"result products disagree in shape: {sorted(shapes)}"

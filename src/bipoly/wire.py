@@ -5,6 +5,8 @@ Every file is a sequence of little-endian unsigned 64-bit words:
     header (11 words): magic, version, q, K, L, T, m, N, r, s, c
 
 followed by fixed-size records of field elements and small integers.
+K must divide r and L must divide c, so that the blocks below have
+whole shapes; both dumps and loads reject dims that do not divide.
 
 Share files hold N records of
     worker_id, x, y, A-share (r/K * s words, row-major),
@@ -16,14 +18,15 @@ the record count is implied by the file length.
 
 Field words (x, y and every matrix entry) are canonical residues below
 q; the loaders reject a blob holding any other field word instead of
-reducing it.  Masks are deliberately absent: serialized bytes model
-exactly what the workers and master exchange.  The layout is bit-exact
-across platforms.
+reducing it.  worker_id and order keep their full u64 range.  Loaded
+blocks are read-only int64 views of the blob, not copies.  Masks are
+deliberately absent: serialized bytes model exactly what the workers
+and master exchange.  The layout is bit-exact across platforms.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -37,28 +40,67 @@ VERSION = 1
 _HEADER_WORDS = 11
 
 
-def _header(params: SchemeParams, dims: tuple[int, int, int]) -> np.ndarray:
+class _Record(NamedTuple):
+    """One record: `ids` u64 words, then x and y, then the named blocks."""
+
+    ids: int
+    names: tuple[str, ...]
+    shapes: tuple[tuple[int, int], ...]
+
+    @property
+    def width(self) -> int:
+        return self.ids + 2 + sum(h * w for h, w in self.shapes)
+
+    def blocks(self, row: np.ndarray) -> list[np.ndarray]:
+        """Views of the blocks held in one record's words."""
+        out, at = [], self.ids + 2
+        for h, w in self.shapes:
+            out.append(row[at : at + h * w].reshape(h, w))
+            at += h * w
+        return out
+
+
+def _layout(params: SchemeParams, dims: tuple[int, int, int]) -> dict[str, _Record]:
+    """The share and result record layouts that a header describes."""
     r, s, c = dims
-    return np.array(
-        [MAGIC, VERSION, params.q, params.K, params.L, params.T, params.m,
-         params.N, r, s, c],
-        dtype=np.uint64,
+    if r % params.K:
+        raise WireFormatError(f"K | r violated: K={params.K} does not divide r={r}")
+    if c % params.L:
+        raise WireFormatError(f"L | c violated: L={params.L} does not divide c={c}")
+    br, bc = r // params.K, c // params.L
+    m = params.m
+    return {
+        "share": _Record(1, ("A-share",) + ("B-share",) * m, ((br, s),) + ((s, bc),) * m),
+        "result": _Record(2, ("product",), ((br, bc),)),
+    }
+
+
+def _pack(params: SchemeParams, dims: tuple[int, int, int], kind: str, records: list) -> bytes:
+    """Header plus one record per (ids, point, blocks, label), each word written once."""
+    rec = _layout(params, dims)[kind]
+    for _, _, blocks, what in records:
+        for blk, name, shape in zip(blocks, rec.names, rec.shapes):
+            if np.shape(blk) != shape:
+                raise WireFormatError(
+                    f"{what} {name} has block shape {np.shape(blk)}, but dims give {shape}"
+                )
+    words = np.empty(_HEADER_WORDS + len(records) * rec.width, dtype="<u8")
+    words[:_HEADER_WORDS] = (
+        MAGIC, VERSION, params.q, params.K, params.L, params.T, params.m, params.N, *dims
     )
+    body = words[_HEADER_WORDS:].reshape(len(records), rec.width)
+    for row, (ids, point, blocks, _) in zip(body, records):
+        row[: rec.ids + 2] = (*ids, point.x, point.y)
+        for view, blk in zip(rec.blocks(row), blocks):
+            view[...] = blk
+    return words.tobytes()
 
 
-def _words_to_bytes(chunks: list[np.ndarray]) -> bytes:
-    return np.concatenate([np.asarray(ch, dtype=np.uint64) for ch in chunks]).astype(
-        "<u8"
-    ).tobytes()
-
-
-def _read_words(data: bytes) -> np.ndarray:
+def _unpack(data: bytes, kind: str) -> tuple:
+    """Parse and check a blob: params, dims, layout, its records as u64 and as int64."""
     if len(data) % 8:
         raise WireFormatError(f"byte length {len(data)} is not a multiple of 8")
-    return np.frombuffer(data, dtype="<u8")
-
-
-def _parse_header(words: np.ndarray) -> tuple[SchemeParams, tuple[int, int, int]]:
+    words = np.frombuffer(data, dtype="<u8")
     if words.size < _HEADER_WORDS:
         raise WireFormatError("truncated header")
     if int(words[0]) != MAGIC:
@@ -66,17 +108,25 @@ def _parse_header(words: np.ndarray) -> tuple[SchemeParams, tuple[int, int, int]
     if int(words[1]) != VERSION:
         raise WireFormatError(f"unsupported version {int(words[1])}")
     q, k, l, t, m, n, r, s, c = (int(w) for w in words[2:_HEADER_WORDS])
-    params = SchemeParams(K=k, L=l, T=t, m=m, N=n, q=q)
-    return params, (r, s, c)
-
-
-def _flat(arr: np.ndarray, shape: tuple[int, int], what: str) -> np.ndarray:
-    """arr as row-major words, after checking it has the block shape of dims."""
-    if np.shape(arr) != shape:
+    params, dims = SchemeParams(K=k, L=l, T=t, m=m, N=n, q=q), (r, s, c)
+    rec = _layout(params, dims)[kind]
+    body = words[_HEADER_WORDS:]
+    count = params.N if kind == "share" else body.size // rec.width
+    if body.size != count * rec.width:
         raise WireFormatError(
-            f"{what} has block shape {np.shape(arr)}, but dims give {shape}"
+            f"{kind} payload holds {body.size} words, "
+            f"not {count} whole records of {rec.width} words"
         )
-    return np.ravel(arr)
+    records = body.reshape(count, rec.width)
+    # x, y and every block word of every record are field elements.
+    if count and int(records[:, rec.ids :].max()) >= params.q:
+        raise WireFormatError(
+            f"{kind} payload holds a word >= q={params.q}; field words must be < q"
+        )
+    # Ids are read from the u64 words; x, y and blocks from int64 views.
+    signed = records.view(np.int64)
+    signed.flags.writeable = False
+    return params, dims, rec, records, signed
 
 
 def dump_shares(
@@ -87,60 +137,25 @@ def dump_shares(
     """Serialize all worker shares (header + N fixed-size records)."""
     if len(shares) != params.N:
         raise WireFormatError(f"expected {params.N} shares, got {len(shares)}")
-    r, s, c = dims
-    shape_a, shape_b = (r // params.K, s), (s, c // params.L)
-    chunks = [_header(params, dims)]
     for sh in shares:
         if len(sh.shares_b) != params.m:
             raise WireFormatError(
                 f"worker {sh.worker_id} holds {len(sh.shares_b)} B-shares, "
                 f"expected m={params.m}"
             )
-        chunks.append(
-            np.array([sh.worker_id, sh.point.x, sh.point.y], dtype=np.uint64)
-        )
-        chunks.append(_flat(sh.share_a, shape_a, f"worker {sh.worker_id} A-share"))
-        for blk in sh.shares_b:
-            chunks.append(_flat(blk, shape_b, f"worker {sh.worker_id} B-share"))
-    return _words_to_bytes(chunks)
-
-
-def _field_words(words: np.ndarray, params: SchemeParams, what: str) -> np.ndarray:
-    """Field words as int64; every word must be canonical."""
-    if words.size and int(words.max()) >= params.q:
-        raise WireFormatError(
-            f"{what} holds a word >= q={params.q}; field words must be < q"
-        )
-    return words.astype(np.int64)
+    return _pack(params, dims, "share", [
+        ((sh.worker_id,), sh.point, (sh.share_a, *sh.shares_b), f"worker {sh.worker_id}")
+        for sh in shares
+    ])
 
 
 def load_shares(data: bytes) -> tuple[SchemeParams, tuple[int, int, int], list[WorkerShare]]:
-    words = _read_words(data)
-    params, dims = _parse_header(words)
-    r, s, c = dims
-    br, bc = r // params.K, c // params.L
-    rec = 3 + br * s + params.m * s * bc
-    body = words[_HEADER_WORDS:]
-    if body.size != rec * params.N:
-        raise WireFormatError(
-            f"share payload holds {body.size} words, expected {rec * params.N}"
-        )
-    records = body.reshape(params.N, rec)
-    # x, y and every matrix word of every record are field elements.
-    fields = _field_words(records[:, 1:], params, "share payload")
+    params, dims, rec, records, signed = _unpack(data, "share")
     shares = []
-    for wid, rec_fields in zip(records[:, 0], fields):
-        share_a = rec_fields[2 : 2 + br * s].reshape(br, s)
-        blocks = rec_fields[2 + br * s :].reshape(params.m, s, bc)
-        shares.append(
-            WorkerShare(
-                worker_id=int(wid),
-                point=EvalPoint(int(rec_fields[0]), int(rec_fields[1])),
-                q=params.q,
-                share_a=share_a,
-                shares_b=tuple(blocks),
-            )
-        )
+    for ids, row in zip(records, signed):
+        share_a, *shares_b = rec.blocks(row)
+        point = EvalPoint(int(row[1]), int(row[2]))
+        shares.append(WorkerShare(int(ids[0]), point, params.q, share_a, tuple(shares_b)))
     return params, dims, shares
 
 
@@ -150,44 +165,24 @@ def dump_results(
     results: Sequence[PartialResult],
 ) -> bytes:
     """Serialize partial results; the record count is implicit."""
-    r, _, c = dims
-    shape = (r // params.K, c // params.L)
-    chunks = [_header(params, dims)]
-    for res in results:
-        chunks.append(
-            np.array(
-                [res.worker_id, res.order, res.point.x, res.point.y], dtype=np.uint64
-            )
-        )
-        chunks.append(
-            _flat(res.product, shape, f"worker {res.worker_id} order {res.order} product")
-        )
-    return _words_to_bytes(chunks)
+    return _pack(params, dims, "result", [
+        ((res.worker_id, res.order), res.point, (res.product,),
+         f"worker {res.worker_id} order {res.order}")
+        for res in results
+    ])
 
 
 def load_results(
     data: bytes,
 ) -> tuple[SchemeParams, tuple[int, int, int], list[PartialResult]]:
-    words = _read_words(data)
-    params, dims = _parse_header(words)
-    r, s, c = dims
-    br, bc = r // params.K, c // params.L
-    rec = 4 + br * bc
-    body = words[_HEADER_WORDS:]
-    if body.size % rec:
-        raise WireFormatError(
-            f"result payload of {body.size} words is not a multiple of record size {rec}"
-        )
-    records = body.reshape(-1, rec)
-    # x, y and every product word of every record are field elements.
-    fields = _field_words(records[:, 2:], params, "result payload")
+    params, dims, rec, records, signed = _unpack(data, "result")
     results = [
         PartialResult(
-            worker_id=int(head[0]),
-            order=int(head[1]),
-            point=EvalPoint(int(rec_fields[0]), int(rec_fields[1])),
-            product=rec_fields[2:].reshape(br, bc),
+            worker_id=int(ids[0]),
+            order=int(ids[1]),
+            point=EvalPoint(int(row[2]), int(row[3])),
+            product=rec.blocks(row)[0],
         )
-        for head, rec_fields in zip(records[:, :2], fields)
+        for ids, row in zip(records, signed)
     ]
     return params, dims, results

@@ -4,6 +4,7 @@ import os
 import pytest
 
 from bipoly import cli, wire
+from bipoly.errors import ParameterError
 
 
 def run(args, capsys):
@@ -133,6 +134,56 @@ def test_simulate_config_parse_error_has_line(tmp_path, capsys):
     code, _, err = run(["simulate", "--config", str(cfg)], capsys)
     assert code == 1
     assert "line" in err.lower() or "3" in err
+
+
+SIM_CONFIG = {
+    "scheme": {"K": "2", "L": "2", "T": "1", "q": "101"},
+    "sim": {"trials": "5", "budgets": "2"},
+    "class.only": {"count": "8", "lambda": "1.0", "nu": "0.1"},
+}
+
+
+def write_sim_config(path, skip=None):
+    """SIM_CONFIG as a config file, without the (section, key) in skip."""
+    path.write_text("".join(
+        f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()
+                                 if (name, k) != skip)
+        for name, keys in SIM_CONFIG.items()
+    ))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "section, key",
+    [("class.only", "count"), ("class.only", "lambda"), ("class.only", "nu"),
+     ("sim", "trials"), ("scheme", "q")],
+)
+def test_simulate_config_missing_key_names_it(tmp_path, capsys, section, key):
+    cfg = write_sim_config(tmp_path / "partial.cfg", skip=(section, key))
+    with pytest.raises(ParameterError, match=rf"partial\.cfg: \[{section}\] .*'{key}'"):
+        cli.load_sim_config(cfg)
+    code, _, err = run(["simulate", "--config", cfg], capsys)
+    assert code == 1
+    assert f"[{section}]" in err and f"'{key}'" in err
+
+
+def test_simulate_complete_config_runs(tmp_path, capsys):
+    cfg = write_sim_config(tmp_path / "full.cfg")
+    code, out, _ = run(["simulate", "--config", cfg, "--seed", "1"], capsys)
+    assert code == 0
+    assert out.startswith("scheme,budget,")
+
+
+@pytest.mark.parametrize("sweeps", ["0", "-2"])
+def test_privacy_rejects_sweeps_below_one(capsys, sweeps):
+    code, out, err = run(
+        ["privacy", "--K", "2", "--L", "2", "--T", "1", "--m", "2",
+         "--N", "6", "--q", "101", "--sweeps", sweeps],
+        capsys,
+    )
+    assert code == 1
+    assert "sweeps must be >= 1" in err
+    assert "PASS" not in out
 
 
 def test_privacy_small_instance_reports_mi(capsys):

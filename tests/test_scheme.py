@@ -386,6 +386,15 @@ def test_decode_rejects_products_of_different_shapes():
         decode(p, bad)
 
 
+@pytest.mark.parametrize("flatten", [np.ravel, lambda x: x[np.newaxis]])
+def test_decode_rejects_products_that_are_not_2d(flatten):
+    p = make_params(2, 2, 1, 2, 6, q=Q31)
+    _, _, _, results, _ = run_pipeline(p, 4, 4, 4)
+    bad = [replace(res, product=flatten(res.product)) for res in results]
+    with pytest.raises(DimensionMismatchError, match="result products must be 2-D"):
+        decode(p, bad)
+
+
 def test_decode_rejects_two_points_for_one_worker():
     p = make_params(2, 2, 1, 2, 6, q=Q31)
     _, _, _, results, _ = run_pipeline(p, 4, 4, 4)

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -11,14 +12,15 @@ from bipoly.scheme import compute_all, encode
 BIG_PRIME = 4611686018427387847
 
 
-def pipeline(q):
+def pipeline(q, dims=(4, 6, 4)):
     p = SchemeParams(K=2, L=2, T=1, m=2, N=5, q=q)
     f = p.field
     rng = np.random.default_rng(21)
-    a = f.random_matrix(rng, 4, 6)
-    b = f.random_matrix(rng, 6, 4)
+    r, s, c = dims
+    a = f.random_matrix(rng, r, s)
+    b = f.random_matrix(rng, s, c)
     enc = encode(p, a, b, rng)
-    return p, (4, 6, 4), enc.shares, compute_all(enc.shares)
+    return p, dims, enc.shares, compute_all(enc.shares)
 
 
 def shares_equal(s1, s2):
@@ -144,3 +146,76 @@ def test_loaders_reject_non_canonical_words(q, bad):
     # q - 1 is canonical and loads unchanged.
     _, _, loaded = wire.load_shares(_with_word(up, 14, q - 1))
     assert int(loaded[0].share_a[0, 0]) == q - 1
+
+
+def test_dims_must_divide_into_blocks_on_dump():
+    p, _, shares, results = pipeline(101)
+    # r = 5 still gives (2, 6) A-shares under r // K; the header would lie.
+    with pytest.raises(WireFormatError, match=r"K \| r violated: K=2 does not divide r=5"):
+        wire.dump_shares(p, (5, 6, 4), shares)
+    with pytest.raises(WireFormatError, match=r"L \| c violated: L=2 does not divide c=5"):
+        wire.dump_results(p, (4, 6, 5), results)
+
+
+@pytest.mark.parametrize("index, value, match", [(8, 5, r"K \| r"), (10, 5, r"L \| c")])
+def test_loaders_reject_dims_that_do_not_divide(index, value, match):
+    p, dims, shares, results = pipeline(101)
+    with pytest.raises(WireFormatError, match=match):
+        wire.load_shares(_with_word(wire.dump_shares(p, dims, shares), index, value))
+    with pytest.raises(WireFormatError, match=match):
+        wire.load_results(_with_word(wire.dump_results(p, dims, results), index, value))
+
+
+@pytest.mark.parametrize("writable", [False, True])
+def test_loaded_blocks_are_read_only_views_of_the_blob(writable):
+    p, dims, shares, results = pipeline(101)
+    up = wire.dump_shares(p, dims, shares)
+    down = wire.dump_results(p, dims, results)
+    if writable:
+        up, down = bytearray(up), bytearray(down)
+    _, _, loaded_shares = wire.load_shares(up)
+    _, _, loaded_results = wire.load_results(down)
+    blocks = [(blk, up) for sh in loaded_shares for blk in (sh.share_a, *sh.shares_b)]
+    blocks += [(res.product, down) for res in loaded_results]
+    for blk, blob in blocks:
+        assert blk.dtype == np.int64
+        assert not blk.flags.writeable
+        assert np.shares_memory(blk, np.frombuffer(blob, dtype=np.uint8))
+    with pytest.raises(ValueError):
+        loaded_shares[0].share_a[0, 0] = 1
+
+
+def test_worker_id_and_order_keep_their_u64_range():
+    p, dims, shares, results = pipeline(101)
+    big = 2**64 - 1
+    shares = [replace(shares[0], worker_id=big)] + list(shares[1:])
+    results = [replace(results[0], worker_id=big, order=2**63)]
+    up = wire.dump_shares(p, dims, shares)
+    down = wire.dump_results(p, dims, results)
+    assert wire.load_shares(up)[2][0].worker_id == big
+    loaded = wire.load_results(down)[2][0]
+    assert (loaded.worker_id, loaded.order) == (big, 2**63)
+    assert wire.dump_shares(p, dims, wire.load_shares(up)[2]) == up
+    assert wire.dump_results(p, dims, [loaded]) == down
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_dump_allocates_one_payload_and_load_copies_none():
+    p, dims, shares, results = pipeline(101, dims=(128, 128, 128))
+    up = wire.dump_shares(p, dims, shares)
+    down = wire.dump_results(p, dims, results)
+    assert len(up) > 900_000 and len(down) > 300_000
+    slack = 64 * 1024
+    # One word array and the bytes returned from it, nothing else payload-sized.
+    assert _peak_bytes(lambda: wire.dump_shares(p, dims, shares)) <= 2 * len(up) + slack
+    assert _peak_bytes(lambda: wire.dump_results(p, dims, results)) <= 2 * len(down) + slack
+    assert _peak_bytes(lambda: wire.load_shares(up)) <= slack
+    assert _peak_bytes(lambda: wire.load_results(down)) <= slack
