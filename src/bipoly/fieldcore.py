@@ -6,15 +6,18 @@ a sum of two.  A product of two residues fits only below 2**31, so every
 product goes through one of three primitives that know the modulus:
 :func:`mat_mul_mod`, the elementwise :func:`mul_mod` and the fused
 elimination update :func:`sub_mul_mod`.  For q >= 2**31 these multiply
-Python integers and cast the reduced result back to int64.  Apart from
-them only :func:`kernel_operand`, which prepares operands for
-mat_mul_mod, branches on the size of q.  No function mutates its inputs.
+Python integers and cast the reduced result back to int64.  No other
+function branches on the size of q, and none mutates its inputs.
 
-Matrix products for q < 2**31 go through float64 BLAS: the operands are
-split into 16-bit limbs, the limb products run as float64 products whose
-sums stay exact below 2**53, and the pieces are recombined mod q with
-shifts (the limb-splitting technique of FFLAS-FFPACK, Dumas, Giorgi and
-Pernet, ACM TOMS 2008).
+Matrix products for q < 2**31 go through float64 BLAS.  Only the left
+operand is split, into k limbs of w bits; the right operand stays whole.
+Every float64 value the kernel forms is an integer of at most 2**53, so
+it is exact, and each output word is reduced as few times as that
+allows (the delayed-reduction principle of FFLAS-FFPACK, Dumas, Giorgi
+and Pernet, ACM TOMS 2008).  :func:`limb_plan` derives w and k from q
+and the inner dimension; inner dimensions past the exact limit are cut
+into chunks.  The output is computed in column tiles of about 2**15
+words, so every elementwise pass stays in a 2 MB L2 cache.
 """
 
 from __future__ import annotations
@@ -39,8 +42,15 @@ _INT64_LIMIT = 1 << 31
 
 # float64 holds every integer of magnitude up to 2**53 exactly.
 _FLOAT_EXACT = 1 << 53
-_LIMB_BITS = 16
-_LIMB_MASK = (1 << _LIMB_BITS) - 1
+
+# Output words per column tile: a tile and its scratch arrays stay in L2.
+_TILE_WORDS = 1 << 15
+
+# A further limb costs a whole product per output word, a further chunk
+# of the inner dimension only one reduction.  So limbs are added only
+# until one exact product sums this many inner terms; longer inner
+# dimensions are chunked.
+_MIN_CHUNK = 1 << 10
 
 # Witness set making Miller-Rabin deterministic for all 64-bit inputs.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -224,56 +234,6 @@ class PrimeField:
         return ~singular
 
 
-def exact_inner_limit(q: int, split_right: bool = True) -> int:
-    """Largest inner dimension whose limb products sum exactly in float64.
-
-    Both operands hold canonical residues below q < 2**31 and split into
-    a high limb (at most (q-1) >> 16) and a low 16-bit limb.  With
-    `split_right` the sums hi.hi, hi.lo + lo.hi and lo.lo have terms of
-    at most hi*hi, 2*hi*lo and lo*lo; without it the right operand stays
-    whole and each term is at most max(hi, lo) * (q-1).
-    """
-    hi, lo = (q - 1) >> _LIMB_BITS, min(q - 1, _LIMB_MASK)
-    if split_right:
-        widest = max(hi * hi, 2 * hi * lo, lo * lo)
-    else:
-        widest = max(hi, lo) * (q - 1)
-    return _FLOAT_EXACT // max(widest, 1)
-
-
-def _limbs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    x = np.asarray(x, dtype=np.int64)
-    return (x >> _LIMB_BITS).astype(np.float64), (x & _LIMB_MASK).astype(np.float64)
-
-
-def _reduce(x: np.ndarray, q: int) -> np.ndarray:
-    """x mod q in place for nonnegative int64 x (floor division is cheaper than %)."""
-    x -= x // q * q
-    return x
-
-
-def _shift_add(hi: np.ndarray, lo: np.ndarray, q: int) -> np.ndarray:
-    """(hi * 2**16 + lo) mod q for hi in [0, q) and exact float64 sums lo < 2**53."""
-    hi <<= _LIMB_BITS
-    hi += lo.astype(np.int64)
-    return _reduce(hi, q)
-
-
-def _limb_product(a: np.ndarray, b: np.ndarray, q: int, split_right: bool) -> np.ndarray:
-    """a @ b mod q for an inner dimension within exact_inner_limit(q, split_right)."""
-    a_hi, a_lo = _limbs(a)
-    if not split_right:
-        bf = np.asarray(b, dtype=np.float64)
-        out = _reduce((a_hi @ bf).astype(np.int64), q)
-        return _shift_add(out, a_lo @ bf, q)
-    b_hi, b_lo = _limbs(b)
-    # The cross term runs as two products summed in float64 rather than
-    # one concatenated product: the copies cost more than a product saves.
-    out = _reduce((a_hi @ b_hi).astype(np.int64), q)
-    out = _shift_add(out, a_hi @ b_lo + a_lo @ b_hi, q)
-    return _shift_add(out, a_lo @ b_lo, q)
-
-
 def mul_mod(a, b, q: int) -> np.ndarray:
     """Elementwise a * b mod q for canonical int64 operands; int64 result."""
     if q < _INT64_LIMIT:
@@ -294,39 +254,141 @@ def sub_mul_mod(a, b, c, q: int) -> np.ndarray:
     return (a - mul_mod(b, c, q)) % q
 
 
-def kernel_operand(x: np.ndarray, q: int) -> np.ndarray:
-    """x as mat_mul_mod reads it fastest when it is reused across calls.
+def exact_terms(q: int, w: int) -> int:
+    """Most terms one float64 product of w-bit left limbs sums exactly.
 
-    Below 2**31 that is float64, which holds canonical residues exactly;
-    larger moduli keep the array as it is.
+    A term is a limb, at most min(2**w - 1, q - 1), times a residue, at
+    most q - 1.  A Horner step adds such a sum to the previous residue
+    shifted left by w bits, so the sum may use 2**53 less that carry;
+    the folded form adds no carry and keeps the same bound.
     """
-    return np.asarray(x, dtype=np.float64) if q < _INT64_LIMIT else x
+    widest = min((1 << w) - 1, q - 1) * (q - 1)
+    return (_FLOAT_EXACT - ((q - 1) << w)) // widest
+
+
+def limb_plan(q: int, rows: int, inner: int) -> tuple[bool, int, int, int]:
+    """(fold, w, k, chunk) of mat_mul_mod for a rows x inner left operand, q < 2**31.
+
+    The left operand splits into k limbs of w bits.  `fold` holds when
+    the output has more rows than the right operand (rows > inner): the
+    limbs then fold into one product whose inner dimension is k times
+    the operand's; otherwise each limb is its own product.  k is the
+    fewest limbs whose exact sum covers that inner dimension, or
+    _MIN_CHUNK terms of it, and one exact product covers `chunk` inner
+    columns of the operands.
+    """
+    fold = rows > inner
+    bits = (q - 1).bit_length()
+    for k in range(1, bits + 1):
+        w = -(-bits // k)
+        terms = exact_terms(q, w)
+        # One-bit limbs (k == bits) always sum 2**22 terms exactly.
+        if terms >= min(k * inner if fold else inner, _MIN_CHUNK) or k == bits:
+            return fold, w, k, terms // k if fold else terms
+
+
+def _reduce(x: np.ndarray, q: int, scratch: np.ndarray, out: np.ndarray | None = None):
+    """x mod q for float64 x holding integers in [0, 2**53], into `out` or x.
+
+    The quotient is exact: a non-integer x / q lies at least 1/q from
+    the next integer, which is more than half an ulp of it below 2**53.
+    An int64 `out` takes the result without a separate cast.
+    """
+    np.divide(x, q, out=scratch)
+    np.floor(scratch, out=scratch)
+    scratch *= q
+    return np.subtract(x, scratch, out=x if out is None else out, casting="unsafe")
+
+
+def _horner(limbs: list[np.ndarray], right: np.ndarray, q: int, w: int, scratch) -> np.ndarray:
+    """sum_j limbs[j] @ right * 2**(w*j), reduced before each shift; at most 2**53."""
+    acc = limbs[-1] @ right
+    for limb in reversed(limbs[:-1]):
+        _reduce(acc, q, scratch)
+        acc *= float(1 << w)
+        acc += np.matmul(limb, right, out=scratch)
+    return acc
+
+
+def _folded(left: np.ndarray, right: np.ndarray, q: int, w: int, k: int) -> np.ndarray:
+    """[limb_0 | ... | limb_k-1] @ [right; right * 2**w mod q; ...]; at most 2**53."""
+    inner = right.shape[0]
+    stacked = np.empty((k * inner, right.shape[1]))
+    stacked[:inner] = right
+    for j in range(1, k):
+        block = stacked[j * inner : (j + 1) * inner]
+        np.multiply(stacked[(j - 1) * inner : j * inner], float(1 << w), out=block)
+        _reduce(block, q, np.empty_like(block))
+    return left @ stacked
+
+
+def _limb_kernel(a: np.ndarray, q: int):
+    """A function writing a @ tile mod q into an int64 destination tile.
+
+    The left operand is split into its limbs once, per chunk of the
+    inner dimension; each tile of the right operand is cast to float64
+    once per chunk.  A single chunk is reduced once more, straight into
+    the destination; several are reduced each, summed and reduced again.
+    """
+    fold, w, k, chunk = limb_plan(q, *a.shape)
+    mask = (1 << w) - 1
+    cuts = [slice(at, at + chunk) for at in range(0, a.shape[1], chunk)] or [slice(0, 0)]
+    lefts = []
+    for cut in cuts:
+        limbs = [((a[:, cut] >> (w * j)) & mask).astype(np.float64) for j in range(k)]
+        lefts.append(np.concatenate(limbs, axis=1) if fold else limbs)
+
+    def product(tile: np.ndarray, dest: np.ndarray) -> None:
+        scratch = np.empty(dest.shape)
+        total = None
+        for cut, left in zip(cuts, lefts):
+            if fold:
+                acc = _folded(left, tile[cut], q, w, k)
+            else:
+                acc = _horner(left, tile[cut].astype(np.float64), q, w, scratch)
+            if len(cuts) > 1:
+                _reduce(acc, q, scratch)
+            total = acc if total is None else np.add(total, acc, out=total)
+        _reduce(total, q, scratch, out=dest)
+
+    return product
 
 
 def mat_mul_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
-    """Exact a @ b over F_q for canonical 2-D operands of matching shapes.
+    """Exact a @ b over F_q for canonical 2-D integer operands; int64 result.
 
-    Operands are integer arrays, or float64 arrays from kernel_operand.
+    The output is filled in column tiles of about 2**15 words.  For
+    q < 2**31 the left operand splits into k limbs of w bits, with w
+    derived from q and the inner dimension (see limb_plan), and the
+    right operand stays whole as float64.  The shape picks one of two
+    forms:
 
-    The result is int64.  For q < 2**31 it comes from float64 BLAS
-    products of 16-bit limbs.  Only the left operand is split when the
-    unsplit right operand keeps the sums exact, as for the short inner
-    dimensions of encode's generator products; inner dimensions beyond
-    the exact limit are processed in chunks reduced mod q between them.
-    Larger moduli multiply Python integers.
+    * output no larger than the right operand (rows <= inner, as in
+      worker products and decode): one product per limb, recombined by
+      Horner with one reduction per limb;
+    * output wider than the right operand (rows > inner, as in encode's
+      generator products): the limbs fold into one product against the
+      stacked copies b * 2**(w*j) mod q, so each output word is reduced
+      once.
+
+    Every float64 value formed is an integer of at most 2**53.  Inner
+    dimensions past the exact limit are cut into chunks whose reduced
+    products are summed and reduced again.  Larger moduli multiply
+    Python integers, one tile at a time.
     """
+    rows, cols = a.shape[0], b.shape[1]
     if q >= _INT64_LIMIT:
-        return (np.dot(a.astype(object), b.astype(object)) % q).astype(np.int64)
-    inner = a.shape[1]
-    split_right = inner > exact_inner_limit(q, split_right=False)
-    limit = exact_inner_limit(q, split_right)
-    if inner <= limit:
-        return _limb_product(a, b, q, split_right)
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    for start in range(0, inner, limit):
-        chunk = slice(start, start + limit)
-        out += _limb_product(a[:, chunk], b[chunk], q, split_right)
-        _reduce(out, q)
+        left = a.astype(object)
+
+        def product(tile, dest):
+            dest[...] = np.dot(left, tile.astype(object)) % q
+    else:
+        product = _limb_kernel(np.asarray(a, dtype=np.int64), q)
+    out = np.empty((rows, cols), dtype=np.int64)
+    width = max(1, _TILE_WORDS // max(rows, 1))
+    for start in range(0, cols, width):
+        tile = slice(start, start + width)
+        product(b[:, tile], out[:, tile])
     return out
 
 

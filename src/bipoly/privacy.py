@@ -30,6 +30,7 @@ m <= L coupling.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -191,11 +192,16 @@ def sweep_collusion_subsets(
     lexicographic order.  The report counts every subset checked and
     lists the first `max_failures` failing ones in enumeration order:
     exactly those perfect_privacy_check fails.  Works at any supported q.
+    When all N residues already pass the criterion, so does every
+    subset, and the default sweep counts C(N, T) without enumerating.
     """
     prime_field(q)
     if T == 0:
         return SweepReport(0, ())
     if subsets is None:
+        residues = {pt.x % q for pt in points}
+        if len(residues) == len(points) and (K == 0 or 0 not in residues) and q >= m:
+            return SweepReport(math.comb(len(points), T), ())
         subsets = itertools.combinations(range(len(points)), T)
     sub = np.fromiter(itertools.chain.from_iterable(subsets), dtype=np.intp)
     sub = sub.reshape(-1, T)

@@ -40,7 +40,7 @@ from .errors import (
     ParameterError,
     ResponseContractError,
 )
-from .fieldcore import kernel_operand, mat_mul_mod, prime_field
+from .fieldcore import mat_mul_mod, prime_field
 
 
 @dataclass(frozen=True)
@@ -220,26 +220,25 @@ def encode(
         ]
     masks_r = [field.asarray(mk) for mk in masks_r]
     masks_s = [[field.asarray(mk) for mk in row] for row in masks_s]
-    # Shares are generator rows times stacked coefficients, one kernel
-    # call per worker and side so peak memory stays at the shares' size.
-    coeffs_a = kernel_operand(stack_coefficients_a(params, parts_a, masks_r), params.q)
-    coeffs_b = kernel_operand(stack_coefficients_b(params, parts_b, masks_s), params.q)
+    # Shares are generator rows times stacked coefficients: one kernel
+    # call per side for all N workers, and each share is a view of its
+    # worker's rows of the output.
+    coeffs_a = stack_coefficients_a(params, parts_a, masks_r)
+    coeffs_b = stack_coefficients_b(params, parts_b, masks_s)
     gen_a = derivative_matrix([(pt, 0) for pt in points], share_monomials_a(params), field)
     gen_b = derivative_matrix(
         [(pt, order) for pt in points for order in range(params.m)],
         share_monomials_b(params),
         field,
     )
-    shares = []
-    for i, pt in enumerate(points):
-        share_a = mat_mul_mod(gen_a[i : i + 1], coeffs_a, params.q).reshape(br, s)
-        rows_b = gen_b[i * params.m : (i + 1) * params.m]
-        shares_b = tuple(mat_mul_mod(rows_b, coeffs_b, params.q).reshape(params.m, s, bc))
-        shares.append(
-            WorkerShare(
-                worker_id=i + 1, point=pt, q=params.q, share_a=share_a, shares_b=shares_b
-            )
+    words_a = mat_mul_mod(gen_a, coeffs_a, params.q).reshape(params.N, br, s)
+    words_b = mat_mul_mod(gen_b, coeffs_b, params.q).reshape(params.N, params.m, s, bc)
+    shares = [
+        WorkerShare(
+            worker_id=i + 1, point=pt, q=params.q, share_a=words_a[i], shares_b=tuple(words_b[i])
         )
+        for i, pt in enumerate(points)
+    ]
     return Encoding(shares, list(masks_r), [list(row) for row in masks_s])
 
 
@@ -262,12 +261,28 @@ def worker_compute(share: WorkerShare, order: int) -> PartialResult:
 
 
 def compute_all(shares: Sequence[WorkerShare]) -> list[PartialResult]:
-    """Run every worker through all m sub-tasks in increasing order."""
-    return [
-        worker_compute(share, order)
-        for share in shares
-        for order in range(len(share.shares_b))
-    ]
+    """Run every worker through all m sub-tasks in increasing order.
+
+    Each worker's m sub-tasks run as one product of its A share with its
+    B shares side by side, so the A share is split once; the m results
+    are column slices of that product, equal to worker_compute's.
+    """
+    results = []
+    for share in shares:
+        shapes = [np.shape(blk) for blk in share.shares_b]
+        if not shapes:
+            continue
+        if any(len(shape) != 2 for shape in shapes) or len({sh[0] for sh in shapes}) > 1:
+            raise DimensionMismatchError(
+                f"worker {share.worker_id} holds B shares of shapes {shapes}; "
+                "expected 2-D blocks of one height"
+            )
+        field = prime_field(share.q)
+        product = field.mat_mul(share.share_a, np.concatenate(share.shares_b, axis=1))
+        ends = np.cumsum([width for _, width in shapes])
+        for order, block in enumerate(np.split(product, ends[:-1], axis=1)):
+            results.append(PartialResult(share.worker_id, order, share.point, block))
+    return results
 
 
 def sort_responses(results: Sequence[PartialResult]) -> list[PartialResult]:

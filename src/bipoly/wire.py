@@ -17,8 +17,9 @@ Result files hold records of
 the record count is implied by the file length.
 
 Field words (x, y and every matrix entry) are canonical residues below
-q; the loaders reject a blob holding any other field word instead of
-reducing it.  worker_id and order keep their full u64 range.  Loaded
+q; the dumps refuse to write, and the loaders refuse to read, any other
+field word instead of reducing it.  worker_id and order keep their full
+u64 range, and a dump refuses an id or coordinate outside it.  Loaded
 blocks are read-only int64 views of the blob, not copies.  Masks are
 deliberately absent: serialized bytes model exactly what the workers
 and master exchange.  The layout is bit-exact across platforms.
@@ -41,19 +42,24 @@ _HEADER_WORDS = 11
 
 
 class _Record(NamedTuple):
-    """One record: `ids` u64 words, then x and y, then the named blocks."""
+    """One record: the named u64 id words, then x and y, then the named blocks."""
 
-    ids: int
+    ids: tuple[str, ...]
     names: tuple[str, ...]
     shapes: tuple[tuple[int, int], ...]
 
     @property
+    def heads(self) -> tuple[str, ...]:
+        """Names of the words before the blocks."""
+        return self.ids + ("x", "y")
+
+    @property
     def width(self) -> int:
-        return self.ids + 2 + sum(h * w for h, w in self.shapes)
+        return len(self.heads) + sum(h * w for h, w in self.shapes)
 
     def blocks(self, row: np.ndarray) -> list[np.ndarray]:
         """Views of the blocks held in one record's words."""
-        out, at = [], self.ids + 2
+        out, at = [], len(self.heads)
         for h, w in self.shapes:
             out.append(row[at : at + h * w].reshape(h, w))
             at += h * w
@@ -70,8 +76,10 @@ def _layout(params: SchemeParams, dims: tuple[int, int, int]) -> dict[str, _Reco
     br, bc = r // params.K, c // params.L
     m = params.m
     return {
-        "share": _Record(1, ("A-share",) + ("B-share",) * m, ((br, s),) + ((s, bc),) * m),
-        "result": _Record(2, ("product",), ((br, bc),)),
+        "share": _Record(
+            ("worker_id",), ("A-share",) + ("B-share",) * m, ((br, s),) + ((s, bc),) * m
+        ),
+        "result": _Record(("worker_id", "order"), ("product",), ((br, bc),)),
     }
 
 
@@ -89,11 +97,25 @@ def _pack(params: SchemeParams, dims: tuple[int, int, int], kind: str, records: 
         MAGIC, VERSION, params.q, params.K, params.L, params.T, params.m, params.N, *dims
     )
     body = words[_HEADER_WORDS:].reshape(len(records), rec.width)
-    for row, (ids, point, blocks, _) in zip(body, records):
-        row[: rec.ids + 2] = (*ids, point.x, point.y)
+    for row, (ids, point, blocks, what) in zip(body, records):
+        head = (*ids, point.x, point.y)
+        for name, value in zip(rec.heads, head):
+            if not 0 <= int(value) < 1 << 64:
+                raise WireFormatError(f"{what}: {name}={value} does not fit a u64 word")
+        row[: len(head)] = head
         for view, blk in zip(rec.blocks(row), blocks):
             view[...] = blk
+    # A negative entry wraps above 2**63, so this one test also refuses it.
+    _check_field_words(body, rec, kind, params.q)
     return words.tobytes()
+
+
+def _check_field_words(body: np.ndarray, rec: _Record, kind: str, q: int) -> None:
+    """x, y and every block word of every record are field elements below q."""
+    if body.size and int(body[:, len(rec.ids) :].max()) >= q:
+        raise WireFormatError(
+            f"{kind} payload holds a word >= q={q}; field words must be < q"
+        )
 
 
 def _unpack(data: bytes, kind: str) -> tuple:
@@ -118,11 +140,7 @@ def _unpack(data: bytes, kind: str) -> tuple:
             f"not {count} whole records of {rec.width} words"
         )
     records = body.reshape(count, rec.width)
-    # x, y and every block word of every record are field elements.
-    if count and int(records[:, rec.ids :].max()) >= params.q:
-        raise WireFormatError(
-            f"{kind} payload holds a word >= q={params.q}; field words must be < q"
-        )
+    _check_field_words(records, rec, kind, params.q)
     # Ids are read from the u64 words; x, y and blocks from int64 views.
     signed = records.view(np.int64)
     signed.flags.writeable = False

@@ -8,9 +8,9 @@ from bipoly.errors import (
 )
 from bipoly.fieldcore import (
     PrimeField,
-    exact_inner_limit,
+    exact_terms,
     is_prime,
-    kernel_operand,
+    limb_plan,
     mat_mul_mod,
     mul_mod,
     prime_field,
@@ -240,30 +240,77 @@ def test_kernel_matches_python_ints(q, shape):
     assert np.array_equal(f.mat_mul(top_a, top_b), python_int_mat_mul(top_a, top_b, q))
 
 
+def _constant_product(rows, inner, value, q):
+    """rows x inner entries `value` times an inner x 1 column of q - 1."""
+    a = np.full((rows, inner), value, dtype=np.int64)
+    b = np.full((inner, 1), q - 1, dtype=np.int64)
+    want = inner * value * (q - 1) % q  # Python-int reference
+    return mat_mul_mod(a, b, q).tolist() == [[want]] * rows
+
+
 @pytest.mark.parametrize("q", [65537, 2**31 - 1])
 def test_kernel_exact_at_the_inner_limit_and_beyond(q):
-    # All entries q-1, or 0xFFFF, whose low limbs give the widest sum the
-    # limit allows.  At the limit one product is exact; one past it the
-    # unchunked float64 sum of 0xFFFF**2 terms is off by one, so the
-    # kernel must take the chunked path.
-    limit = exact_inner_limit(q)
-    assert limit < 2**22
-    for value in (q - 1, 0xFFFF):
+    # Entries q - 1, and entries whose low limb is the widest, 2**w - 1,
+    # against a right operand of q - 1: at the limit one product per
+    # chunk is exact, one past it the kernel must take the chunked path.
+    # A 1-row output is the Horner form (rows <= inner).
+    _, w, k, limit = limb_plan(q, 1, 1 << 40)
+    assert limit == exact_terms(q, w) and k == -(-(q - 1).bit_length() // w)
+    for value in {q - 1, min((1 << w) - 1, q - 1)}:
         for inner in (limit, limit + 1):
-            a = np.full((1, inner), value, dtype=np.int64)
-            b = np.full((inner, 1), value, dtype=np.int64)
-            want = inner * value * value % q  # Python-int reference
-            assert mat_mul_mod(a, b, q).tolist() == [[want]]
+            assert _constant_product(1, inner, value, q)
+    # The folded form (rows > inner) splits its chunk's exact sum across
+    # its k stacked limbs.  With one limb (q = 65537) it is the same
+    # single product as the Horner form, and its limit needs > 2**21 rows.
+    fold, w, k, limit = limb_plan(q, 1 << 40, 1 << 39)
+    assert fold and limit == exact_terms(q, w) // k
+    if k == 1:
+        return
+    for value in (q - 1, (1 << w) - 1):
+        for inner in (limit, limit + 1):
+            assert _constant_product(inner + 1, inner, value, q)
 
 
 def test_kernel_limits_are_derived_from_q():
     for q in KERNEL_PRIMES:
-        hi, lo = (q - 1) >> 16, min(q - 1, 0xFFFF)
-        widest = max(hi * hi, 2 * hi * lo, lo * lo)
-        assert exact_inner_limit(q) * widest <= 2**53 < (exact_inner_limit(q) + 1) * widest
-        # The unsplit right operand keeps whole residues below q.
-        assert exact_inner_limit(q, split_right=False) * max(hi, lo) * (q - 1) <= 2**53
-    assert exact_inner_limit(2**31 - 1, split_right=False) == 64
+        bits = (q - 1).bit_length()
+        for w in range(1, bits + 1):
+            # A term is at most the widest limb times q - 1, and the
+            # Horner step adds the previous residue shifted by w bits.
+            widest = min((1 << w) - 1, q - 1) * (q - 1)
+            budget = 2**53 - (q - 1) * 2**w
+            limit = exact_terms(q, w)
+            assert limit * widest <= budget < (limit + 1) * widest
+        for rows, inner in [(1, 1), (48, 240), (255, 20), (25, 79), (2, 1), (1, 10**7)]:
+            fold, w, k, chunk = limb_plan(q, rows, inner)
+            assert fold == (rows > inner)
+            assert k == -(-bits // w)  # k limbs of w bits hold every residue
+            width = min(inner, chunk)  # inner columns of one exact product
+            assert (k * width if fold else width) <= exact_terms(q, w)
+            if k > 1:  # one limb fewer would not reach the same length
+                fewer = -(-bits // (k - 1))
+                need = min((k - 1) * inner if fold else inner, 1 << 10)
+                assert exact_terms(q, fewer) < need
+    # q = 2**31 - 1 at the paper default: a worker product (48 x 240 by
+    # 240 x 240) takes three products, not four, and the B-side
+    # generator product (255 x 20) one folded product of two limbs.
+    assert limb_plan(2**31 - 1, 48, 240) == (False, 11, 3, 2048)
+    assert limb_plan(2**31 - 1, 255, 20) == (True, 16, 2, 31)
+    assert limb_plan(101, 48, 240)[2] == limb_plan(65537, 48, 240)[2] == 1
+
+
+@pytest.mark.parametrize("q", [101, 2**31 - 1, BIG_PRIME])
+@pytest.mark.parametrize("rows, inner", [(2, 3), (4, 3)])
+def test_kernel_column_tiles(q, rows, inner):
+    # Tiles hold about 2**15 output words: 2**15 // rows columns.  Both
+    # forms at 1 column, one tile, one tile + 1 and a non-multiple.
+    f = prime_field(q)
+    rng = np.random.default_rng(rows * 10 + q % 7)
+    tile = (1 << 15) // rows
+    a = f.random_matrix(rng, rows, inner)
+    for cols in (1, tile, tile + 1, 2 * tile + tile // 3):
+        b = f.random_matrix(rng, inner, cols)
+        assert np.array_equal(mat_mul_mod(a, b, q), python_int_mat_mul(a, b, q))
 
 
 @pytest.mark.parametrize("q", KERNEL_PRIMES + [BIG_PRIME])
@@ -298,13 +345,3 @@ def test_kernel_returns_int64_at_every_q():
         out = f.mat_mul(a, f.asarray([[1], [q - 1]]))
         assert out.dtype == np.int64
         assert np.array_equal(out, python_int_mat_mul(a, [[1], [q - 1]], q))
-
-
-@pytest.mark.parametrize("q", [101, 2**31 - 1, BIG_PRIME])
-def test_kernel_operand_is_reusable(q):
-    f = prime_field(q)
-    rng = np.random.default_rng(7)
-    a = f.random_matrix(rng, 4, 6)
-    b = f.random_matrix(rng, 6, 9)
-    prepared = kernel_operand(b, q)
-    assert np.array_equal(mat_mul_mod(a, prepared, q), python_int_mat_mul(a, b, q))

@@ -203,6 +203,36 @@ def test_sweep_at_the_largest_prime_matches_rank_oracle():
     assert (0, 1) not in report.failing_subsets
 
 
+def test_default_sweep_skips_enumeration_when_all_points_pass(monkeypatch):
+    # Distinct nonzero residues and q >= m make every coalition private,
+    # so the default sweep counts C(N, T) without enumerating; it must
+    # still agree with the rank oracle on every subset, T = N and T > N
+    # included.  Other draws (repeated or zero residues, q < m) enumerate.
+    rng = np.random.default_rng(909)
+    seen = {"shortcut": 0, "enumerated": 0, "t_is_n": 0, "t_above_n": 0}
+    for _ in range(80):
+        q = int(rng.choice([2, 3, 5, 7, 11]))
+        n = int(rng.integers(1, min(q, 5) + 1))
+        T = int(rng.integers(1, n + 2))
+        K = int(rng.integers(1, 3))
+        m = int(rng.integers(1, 5))
+        xs = rng.choice(q, n, replace=rng.random() < 0.3)
+        # Points differ by a multiple of q in x where residues repeat.
+        pts = [EvalPoint(int(x) + q * i, int(rng.integers(q))) for i, x in enumerate(xs)]
+        want = _oracle_failures(pts, K, T, m, q)
+        decided = len(set(xs)) == n and 0 not in xs and q >= m
+        with monkeypatch.context() as patched:
+            if decided:
+                patched.setattr(itertools, "combinations", None)
+            report = sweep_collusion_subsets(pts, K, T, m, q, max_failures=10**9)
+        assert report.subsets_checked == math.comb(n, T)
+        assert report.failing_subsets == want
+        seen["shortcut" if decided else "enumerated"] += 1
+        seen["t_is_n"] += decided and T == n
+        seen["t_above_n"] += decided and T > n
+    assert min(seen.values()) > 0, seen
+
+
 # -- exhaustive mutual information --------------------------------------------
 
 

@@ -236,6 +236,65 @@ def test_compute_all_visits_orders_ascending():
     assert all(orders == [0, 1] for orders in per_worker.values())
 
 
+@pytest.mark.parametrize("q", [101, Q31, BIG_PRIME])
+def test_compute_all_equals_per_order_worker_compute(q):
+    p = make_params(2, 2, 1, 2, 6, q=q)
+    _, _, enc, results, _ = run_pipeline(p, 4, 70, 4, seed=3)
+    want = [worker_compute(sh, order) for sh in enc.shares for order in range(p.m)]
+    assert [(r.worker_id, r.order, r.point) for r in results] == [
+        (w.worker_id, w.order, w.point) for w in want
+    ]
+    for got, ref in zip(results, want):
+        assert got.product.dtype == np.int64
+        assert np.array_equal(got.product, ref.product)
+    # Hand-built shares: B shares of unequal widths, and none at all.
+    sh = enc.shares[1]
+    uneven = replace(sh, shares_b=(sh.shares_b[0][:, :1], sh.shares_b[1]))
+    empty = replace(enc.shares[0], shares_b=())
+    out = compute_all([empty, uneven])
+    assert [(r.worker_id, r.order) for r in out] == [(2, 0), (2, 1)]
+    for order, res in enumerate(out):
+        assert np.array_equal(res.product, worker_compute(uneven, order).product)
+    assert compute_all([empty]) == []
+    with pytest.raises(DimensionMismatchError):
+        compute_all([replace(sh, shares_b=(sh.shares_b[0], sh.shares_b[1][:-1]))])
+
+
+def _share_a_by_python_ints(p, parts_a, masks_r, x):
+    blocks = list(parts_a) + list(masks_r)
+    return sum(blk.astype(object) * pow(x, e, p.q) for e, blk in enumerate(blocks)) % p.q
+
+
+def _share_b_by_python_ints(p, parts_b, masks_s, pt, order):
+    terms = [(blk, 0, j) for j, blk in enumerate(parts_b)]
+    terms += [(blk, p.K + t, j) for t, row in enumerate(masks_s) for j, blk in enumerate(row)]
+    return sum(
+        blk.astype(object)
+        * (falling_factorial(j, order) * pow(pt.x, dx, p.q) * pow(pt.y, j - order, p.q))
+        for blk, dx, j in terms
+        if j >= order
+    ) % p.q
+
+
+@pytest.mark.parametrize("q", [Q31, BIG_PRIME])
+def test_encode_and_compute_span_several_column_tiles(q):
+    # 40 workers and 900-word A shares give generator products wider than
+    # one column tile of the kernel, on its float64 and Python-int paths.
+    p = make_params(2, 2, 1, 2, 40, q=q)
+    a, b, enc, results, _ = run_pipeline(p, 60, 30, 40, seed=12)
+    parts_a, parts_b = partition(p, a, b)
+    for sh in enc.shares:
+        want_a = _share_a_by_python_ints(p, parts_a, enc.masks_r, sh.point.x)
+        assert np.array_equal(sh.share_a, want_a)
+        for order, blk in enumerate(sh.shares_b):
+            want_b = _share_b_by_python_ints(p, parts_b, enc.masks_s, sh.point, order)
+            assert np.array_equal(blk, want_b)
+    for res in results[::9]:
+        sh = enc.shares[res.worker_id - 1]
+        want = sh.share_a.astype(object).dot(sh.shares_b[res.order].astype(object)) % q
+        assert np.array_equal(res.product, want)
+
+
 # -- closed forms --------------------------------------------------------------
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 from dataclasses import replace
 
@@ -5,9 +6,9 @@ import numpy as np
 import pytest
 
 from bipoly import wire
-from bipoly.bivariate import SchemeParams
+from bipoly.bivariate import EvalPoint, SchemeParams
 from bipoly.errors import WireFormatError
-from bipoly.scheme import compute_all, encode
+from bipoly.scheme import compute_all, decode, encode, random_prefix_subset, recovery_threshold
 
 BIG_PRIME = 4611686018427387847
 
@@ -219,3 +220,99 @@ def test_dump_allocates_one_payload_and_load_copies_none():
     assert _peak_bytes(lambda: wire.dump_results(p, dims, results)) <= 2 * len(down) + slack
     assert _peak_bytes(lambda: wire.load_shares(up)) <= slack
     assert _peak_bytes(lambda: wire.load_results(down)) <= slack
+
+
+def _with_entry(block, value):
+    out = np.array(block)
+    out.flat[-1] = value
+    return out
+
+
+@pytest.mark.parametrize("q", [101, BIG_PRIME])
+@pytest.mark.parametrize("bad", ["q", "-1"])
+def test_dumps_refuse_non_canonical_field_words(q, bad):
+    # -1 would wrap to 2**64 - 1 and q would be written as is; the dumps
+    # refuse both, as the loaders do.
+    p, dims, shares, results = pipeline(q)
+    value = q if bad == "q" else -1
+    sh, res = shares[1], results[3]
+    bad_shares = [
+        replace(sh, share_a=_with_entry(sh.share_a, value)),
+        replace(sh, shares_b=(sh.shares_b[0], _with_entry(sh.shares_b[1], value))),
+    ]
+    bad_results = [replace(res, product=_with_entry(res.product, value))]
+    if bad == "q":  # a coordinate >= q; a negative one fails the u64 range first
+        bad_shares.append(replace(sh, point=EvalPoint(sh.point.x, q)))
+        bad_results.append(replace(res, point=EvalPoint(q, res.point.y)))
+    for bad_share in bad_shares:
+        with pytest.raises(WireFormatError, match="field words must be < q"):
+            wire.dump_shares(p, dims, [shares[0], bad_share] + list(shares[2:]))
+    for bad_result in bad_results:
+        with pytest.raises(WireFormatError, match="field words must be < q"):
+            wire.dump_results(p, dims, results[:3] + [bad_result])
+
+
+@pytest.mark.parametrize("value", [-1, 2**64])
+def test_dumps_name_the_head_word_outside_the_u64_range(value):
+    p, dims, shares, results = pipeline(101)
+    sh, res = shares[0], results[0]
+    share_cases = {
+        "worker_id": replace(sh, worker_id=value),
+        "x": replace(sh, point=EvalPoint(value, sh.point.y)),
+        "y": replace(sh, point=EvalPoint(sh.point.x, value)),
+    }
+    for name, bad in share_cases.items():
+        with pytest.raises(WireFormatError, match=rf"worker .* {name}={value} does not fit"):
+            wire.dump_shares(p, dims, [bad] + list(shares[1:]))
+    result_cases = {
+        "worker_id": replace(res, worker_id=value),
+        "order": replace(res, order=value),
+        "x": replace(res, point=EvalPoint(value, res.point.y)),
+    }
+    for name, bad in result_cases.items():
+        with pytest.raises(WireFormatError, match=rf"{name}={value} does not fit"):
+            wire.dump_results(p, dims, [bad])
+
+
+# sha256 of the share blob, the result blob and the little-endian decoded
+# product of one fixed-seed pipeline, recorded before the kernel's limb
+# layout last changed: a kernel change must not move a single byte.
+GOLDEN = {
+    101: (
+        "79d33b0e5313abcb2e9a33ecd94b170048bfdbcd990d68ed93f033187189cb57",
+        "8c1feae21b7de9f6b78398c0c7d52a6401afa67d54381615f1a5e39d88c7b04c",
+        "b7b6ab65a538cb9fa007478497bd632273febfe202eaab5f56c1c461541d0198",
+    ),
+    2**31 - 1: (
+        "0e7b4e5fb0df22ce9d4d84cbc90f7f410f93ca42b34641f373b63eb0dfe4efcd",
+        "19e8931981104d8d08b03a88b05496729402ee60c3a29535497d575945331765",
+        "4438e49b80ea25a990cca8567c42335d2080e6befa598ed36381e17c4b4902de",
+    ),
+    BIG_PRIME: (
+        "1cbc9447536d3027ce2461dc3ba865adc53b2eacfbbe3234355a1d4d7d9dcf29",
+        "89c125a9e47a6f889223a6cc69deb11840fa410948878f3e47e798dab7cebf8e",
+        "254da2af8bc37db8f9049b7d2d77add4d5d66fbc4ad44738cb689df792dbd76f",
+    ),
+}
+
+
+@pytest.mark.parametrize("q", sorted(GOLDEN))
+def test_pipeline_bytes_match_golden_hashes(q):
+    # Inner dimension 70 takes three limbs per worker product at 2**31 - 1,
+    # and encode's generator products take the folded form.
+    p = SchemeParams(K=2, L=2, T=1, m=2, N=7, q=q)
+    rng = np.random.default_rng(2026)
+    dims = (8, 70, 6)
+    a = p.field.random_matrix(rng, 8, 70)
+    b = p.field.random_matrix(rng, 70, 6)
+    enc = encode(p, a, b, rng)
+    results = compute_all(enc.shares)
+    subset = random_prefix_subset(results, recovery_threshold(p), rng)
+    decoded = decode(p, subset).assembled
+    assert np.array_equal(decoded, a.astype(object).dot(b.astype(object)) % q)
+    blobs = (
+        wire.dump_shares(p, dims, enc.shares),
+        wire.dump_results(p, dims, results),
+        np.ascontiguousarray(decoded, dtype="<i8").tobytes(),
+    )
+    assert tuple(hashlib.sha256(blob).hexdigest() for blob in blobs) == GOLDEN[q]
