@@ -17,7 +17,9 @@ allows (the delayed-reduction principle of FFLAS-FFPACK, Dumas, Giorgi
 and Pernet, ACM TOMS 2008).  :func:`limb_plan` derives w and k from q
 and the inner dimension; inner dimensions past the exact limit are cut
 into chunks.  The output is computed in column tiles of about 2**15
-words, so every elementwise pass stays in a 2 MB L2 cache.
+words, so every elementwise pass stays in a 2 MB L2 cache, and each
+tile is written straight into the output, which may be a caller's
+strided destination.
 """
 
 from __future__ import annotations
@@ -339,7 +341,7 @@ def _limb_kernel(a: np.ndarray, q: int):
         lefts.append(np.concatenate(limbs, axis=1) if fold else limbs)
 
     def product(tile: np.ndarray, dest: np.ndarray) -> None:
-        scratch = np.empty(dest.shape)
+        scratch = np.empty((a.shape[0], tile.shape[1]))
         total = None
         for cut, left in zip(cuts, lefts):
             if fold:
@@ -349,12 +351,15 @@ def _limb_kernel(a: np.ndarray, q: int):
             if len(cuts) > 1:
                 _reduce(acc, q, scratch)
             total = acc if total is None else np.add(total, acc, out=total)
-        _reduce(total, q, scratch, out=dest)
+        # Both are contiguous, so reshaping them to dest's shape is a view.
+        _reduce(total.reshape(dest.shape), q, scratch.reshape(dest.shape), out=dest)
 
     return product
 
 
-def mat_mul_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
+def mat_mul_mod(
+    a: np.ndarray, b: np.ndarray, q: int, out: np.ndarray | None = None
+) -> np.ndarray:
     """Exact a @ b over F_q for canonical 2-D integer operands; int64 result.
 
     The output is filled in column tiles of about 2**15 words.  For
@@ -375,20 +380,38 @@ def mat_mul_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     dimensions past the exact limit are cut into chunks whose reduced
     products are summed and reduced again.  Larger moduli multiply
     Python integers, one tile at a time.
+
+    `out`, when given, is a writable int64 array of shape (..., cols)
+    whose leading axes hold the rows in row-major order, such as a
+    strided view into a larger buffer; it must not overlap a or b.  The
+    product is written into it, tile by tile, and it is returned.
     """
     rows, cols = a.shape[0], b.shape[1]
+    if out is None:
+        out = np.empty((rows, cols), dtype=np.int64)
+    elif (
+        out.dtype != np.int64
+        or out.ndim < 2
+        or out.shape[-1] != cols
+        or int(np.prod(out.shape[:-1])) != rows
+        or not out.flags.writeable
+    ):
+        raise DimensionMismatchError(
+            f"destination {out.dtype} {out.shape} cannot take the {rows} x {cols} "
+            f"product of {a.shape} x {b.shape}; expected writable int64 (..., {cols}) "
+            f"with {rows} rows"
+        )
     if q >= _INT64_LIMIT:
         left = a.astype(object)
 
         def product(tile, dest):
-            dest[...] = np.dot(left, tile.astype(object)) % q
+            dest[...] = (np.dot(left, tile.astype(object)) % q).reshape(dest.shape)
     else:
         product = _limb_kernel(np.asarray(a, dtype=np.int64), q)
-    out = np.empty((rows, cols), dtype=np.int64)
     width = max(1, _TILE_WORDS // max(rows, 1))
     for start in range(0, cols, width):
         tile = slice(start, start + width)
-        product(b[:, tile], out[:, tile])
+        product(b[:, tile], out[..., tile])
     return out
 
 

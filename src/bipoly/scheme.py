@@ -211,18 +211,24 @@ def encode(
         raise ParameterError(
             f"expected {params.N} evaluation points, got {len(points)}"
         )
+    # Drawn masks are canonical already; only injected ones are reduced.
     if masks_r is None:
         masks_r = [field.random_matrix(rng, br, s) for _ in range(params.T)]
+    else:
+        masks_r = [field.asarray(mk) for mk in masks_r]
     if masks_s is None:
         masks_s = [
             [field.random_matrix(rng, s, bc) for _ in range(params.m)]
             for _ in range(params.T)
         ]
-    masks_r = [field.asarray(mk) for mk in masks_r]
-    masks_s = [[field.asarray(mk) for mk in row] for row in masks_s]
+    else:
+        masks_s = [[field.asarray(mk) for mk in row] for row in masks_s]
     # Shares are generator rows times stacked coefficients: one kernel
-    # call per side for all N workers, and each share is a view of its
-    # worker's rows of the output.
+    # call per side for all N workers, written straight into the share
+    # records of the wire blob, so each share is a read-only view of its
+    # worker's record.
+    from .wire import share_blob  # wire imports this module's share types
+
     coeffs_a = stack_coefficients_a(params, parts_a, masks_r)
     coeffs_b = stack_coefficients_b(params, parts_b, masks_s)
     gen_a = derivative_matrix([(pt, 0) for pt in points], share_monomials_a(params), field)
@@ -231,13 +237,14 @@ def encode(
         share_monomials_b(params),
         field,
     )
-    words_a = mat_mul_mod(gen_a, coeffs_a, params.q).reshape(params.N, br, s)
-    words_b = mat_mul_mod(gen_b, coeffs_b, params.q).reshape(params.N, params.m, s, bc)
+    side_a, side_b, blocks = share_blob(params, (a.shape[0], s, b.shape[1]))
+    mat_mul_mod(gen_a, coeffs_a, params.q, out=side_a)
+    mat_mul_mod(gen_b, coeffs_b, params.q, out=side_b)
     shares = [
         WorkerShare(
-            worker_id=i + 1, point=pt, q=params.q, share_a=words_a[i], shares_b=tuple(words_b[i])
+            worker_id=i + 1, point=pt, q=params.q, share_a=share_a, shares_b=tuple(shares_b)
         )
-        for i, pt in enumerate(points)
+        for i, (pt, (share_a, *shares_b)) in enumerate(zip(points, blocks))
     ]
     return Encoding(shares, list(masks_r), [list(row) for row in masks_s])
 

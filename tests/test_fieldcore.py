@@ -313,6 +313,59 @@ def test_kernel_column_tiles(q, rows, inner):
         assert np.array_equal(mat_mul_mod(a, b, q), python_int_mat_mul(a, b, q))
 
 
+OUT_PRIMES = [101, 65537, 2**31 - 1, BIG_PRIME]
+
+
+@pytest.mark.parametrize("q", OUT_PRIMES)
+@pytest.mark.parametrize("rows, inner", [(6, 20), (24, 5)])  # Horner, folded
+def test_kernel_writes_into_strided_and_3d_destinations(q, rows, inner):
+    # Destinations are record-strided views of larger buffers, as encode
+    # passes; the words around them stay untouched.
+    f = prime_field(q)
+    rng = np.random.default_rng(rows + q % 11)
+    a = f.random_matrix(rng, rows, inner)
+    tile = (1 << 15) // rows
+    for cols in (7, tile, 2 * tile + 3):  # one tile, one full tile, three tiles
+        b = f.random_matrix(rng, inner, cols)
+        want = mat_mul_mod(a, b, q)
+        assert np.array_equal(want, python_int_mat_mul(a, b, q))
+        flat = np.full((rows, 3 + cols + 2), -1, dtype=np.int64)
+        dest = flat[:, 3 : 3 + cols]
+        assert mat_mul_mod(a, b, q, out=dest) is dest
+        assert np.array_equal(dest, want)
+        assert (flat[:, :3] == -1).all() and (flat[:, 3 + cols :] == -1).all()
+        # (N, m, cols): rows n*m .. n*m + m - 1 of the product in record n.
+        records = np.full((rows // 2, 4 + 2 * cols), -1, dtype=np.int64)
+        dest = records[:, 4:].reshape(rows // 2, 2, cols)
+        assert np.shares_memory(dest, records)
+        assert mat_mul_mod(a, b, q, out=dest) is dest
+        assert np.array_equal(dest.reshape(rows, cols), want)
+        assert (records[:, :4] == -1).all()
+
+
+@pytest.mark.parametrize("q", OUT_PRIMES)
+@pytest.mark.parametrize("rows, inner", [(6, 20), (24, 5)])
+def test_kernel_rejects_a_destination_of_the_wrong_shape_or_dtype(q, rows, inner):
+    f = prime_field(q)
+    rng = np.random.default_rng(3)
+    a, b = f.random_matrix(rng, rows, inner), f.random_matrix(rng, inner, 9)
+    frozen = np.zeros((rows, 9), dtype=np.int64)
+    frozen.flags.writeable = False
+    bad = [
+        np.zeros((rows, 10), dtype=np.int64),
+        np.zeros((rows + 1, 9), dtype=np.int64),
+        np.zeros((rows // 2, 3, 9), dtype=np.int64),
+        np.zeros(rows * 9, dtype=np.int64),
+        np.zeros((rows, 9), dtype=np.float64),
+        np.zeros((rows, 9), dtype=np.uint64),
+        np.zeros((rows, 9), dtype=np.int32),
+        frozen,
+    ]
+    for out in bad:
+        with pytest.raises(DimensionMismatchError, match="destination"):
+            mat_mul_mod(a, b, q, out=out)
+
+
 @pytest.mark.parametrize("q", KERNEL_PRIMES + [BIG_PRIME])
 @pytest.mark.parametrize("shape", [(0, 3, 2), (3, 0, 2), (3, 2, 0), (0, 0, 0)])
 def test_kernel_zero_size_dimensions(q, shape):

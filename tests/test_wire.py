@@ -222,6 +222,95 @@ def test_dump_allocates_one_payload_and_load_copies_none():
     assert _peak_bytes(lambda: wire.load_results(down)) <= slack
 
 
+def _in_blob(blob, shares):
+    """Whether every share block is memory of the dumped blob."""
+    words = np.frombuffer(blob, dtype=np.uint8)
+    return all(np.shares_memory(blk, words) for sh in shares for blk in (sh.share_a, *sh.shares_b))
+
+
+def test_dump_of_encoded_shares_copies_no_payload():
+    p, dims, shares, _ = pipeline(101, dims=(128, 128, 128))
+    blob = wire.dump_shares(p, dims, shares)
+    assert len(blob) > 900_000 and _in_blob(blob, shares)
+    assert _peak_bytes(lambda: wire.dump_shares(p, dims, shares)) <= 64 * 1024
+
+
+@pytest.mark.parametrize("q", [101, 2**31 - 1, BIG_PRIME])
+def test_in_place_dump_equals_the_packed_bytes(q):
+    p, dims, shares, _ = pipeline(q)
+    blob = wire.dump_shares(p, dims, shares)
+    # A copied block sends the list through the packer.
+    copied = list(shares)
+    copied[2] = replace(copied[2], shares_b=(copied[2].shares_b[0].copy(), copied[2].shares_b[1]))
+    packed = wire.dump_shares(p, dims, copied)
+    assert _in_blob(blob, shares) and not _in_blob(packed, shares)
+    assert bytes(packed) == bytes(blob)
+
+
+def test_in_place_dump_writes_replaced_head_words():
+    p, dims, shares, _ = pipeline(101)
+    first = bytes(wire.dump_shares(p, dims, shares))
+    moved = list(shares)
+    moved[1] = replace(moved[1], worker_id=99, point=EvalPoint(3, 4))
+    moved[4] = replace(moved[4], worker_id=2**64 - 1)
+    blob = wire.dump_shares(p, dims, moved)
+    assert _in_blob(blob, moved)
+    copied = moved[:-1] + [replace(moved[-1], share_a=moved[-1].share_a.copy())]
+    assert bytes(blob) == bytes(wire.dump_shares(p, dims, copied))
+    loaded = wire.load_shares(blob)[2]
+    assert (loaded[1].worker_id, loaded[1].point) == (99, (3, 4))
+    assert loaded[4].worker_id == 2**64 - 1
+    # Dumping the encoded shares again writes their own head words back.
+    assert bytes(wire.dump_shares(p, dims, shares)) == first
+
+
+def test_reordered_shares_fall_back_to_the_packer():
+    p, dims, shares, _ = pipeline(101)
+    blob = wire.dump_shares(p, dims, shares[::-1])
+    assert not _in_blob(blob, shares)
+    loaded = wire.load_shares(blob)[2]
+    assert all(shares_equal(a, b) for a, b in zip(shares[::-1], loaded))
+    swapped = [replace(shares[0], share_a=shares[1].share_a)] + list(shares[1:])
+    assert not _in_blob(wire.dump_shares(p, dims, swapped), shares)
+    # A view at the right address but of another shape is not the block.
+    cut = [replace(shares[0], share_a=shares[0].share_a[:1])] + list(shares[1:])
+    with pytest.raises(WireFormatError, match=r"A-share has block shape \(1, 6\)"):
+        wire.dump_shares(p, dims, cut)
+
+
+def test_in_place_dump_refuses_a_negative_worker_id():
+    p, dims, shares, _ = pipeline(101)
+    first = bytes(wire.dump_shares(p, dims, shares))
+    with pytest.raises(WireFormatError, match="worker_id=-1 does not fit a u64 word"):
+        wire.dump_shares(p, dims, [replace(shares[0], worker_id=-1)] + list(shares[1:]))
+    assert bytes(wire.dump_shares(p, dims, shares)) == first
+
+
+def test_encoded_shares_are_read_only_views():
+    _, _, shares, _ = pipeline(101)
+    for sh in shares:
+        for blk in (sh.share_a, *sh.shares_b):
+            assert blk.dtype == np.int64 and not blk.flags.writeable
+    with pytest.raises(ValueError):
+        shares[0].shares_b[1][0, 0] = 1
+
+
+def test_dumps_return_read_only_bytes_of_the_blob():
+    p, dims, shares, results = pipeline(101)
+    r, s, c = dims
+    share_words = 11 + p.N * (3 + r // p.K * s + p.m * s * c // p.L)
+    result_words = 11 + len(results) * (4 + r // p.K * c // p.L)
+    for blob, words in [
+        (wire.dump_shares(p, dims, shares), share_words),
+        (wire.dump_shares(p, dims, shares[::-1]), share_words),
+        (wire.dump_results(p, dims, results), result_words),
+    ]:
+        assert isinstance(blob, memoryview) and blob.readonly
+        assert blob.format == "B" and len(blob) == blob.nbytes == 8 * words
+        with pytest.raises(TypeError):
+            blob[0] = 0
+
+
 def _with_entry(block, value):
     out = np.array(block)
     out.flat[-1] = value
