@@ -13,11 +13,9 @@ cfg = load_sim_config("heterogeneous")
 budgets = [2, 3, 4, 5, 6, 8, 10]
 trials = 2000  # bump to 10000 to tighten the estimates
 
-rows = []
-for scheme in (PROPOSED, GASP):
-    rows += budget_sweep(
-        cfg["classes"], cfg["params"], budgets, scheme, trials, seed=0
-    )
+rows = budget_sweep(
+    cfg["classes"], cfg["params"], budgets, (PROPOSED, GASP), trials, seed=0
+)
 
 print(sweep_rows_to_csv(rows))
 

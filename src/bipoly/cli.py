@@ -224,18 +224,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         raise ParameterError(f"trials must be >= 1, got {trials}")
     seed = _resolve_seed(args.seed, fallback=cfg["seed"] if cfg["seed"] is not None else 0)
     schemes = [PROPOSED, GASP] if args.scheme == "both" else [args.scheme]
-    rows = []
-    for scheme in schemes:
-        rows.extend(
-            budget_sweep(
-                cfg["classes"],
-                cfg["params"],
-                cfg["budgets"],
-                scheme,
-                trials,
-                seed,
-            )
-        )
+    rows = budget_sweep(
+        cfg["classes"], cfg["params"], cfg["budgets"], schemes, trials, seed
+    )
     text = sweep_rows_to_csv(rows)
     _write_output(args.out, text)
     if args.out and args.out != "-":

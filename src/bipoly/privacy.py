@@ -29,8 +29,8 @@ m <= L coupling.
 
 from __future__ import annotations
 
-import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -171,6 +171,41 @@ class SweepReport:
         return not self.failing_subsets
 
 
+def _combinations(n: int, t: int) -> np.ndarray:
+    """(C(n, t), t) array of every t-subset of range(n), lexicographic.
+
+    Built one column at a time: a row whose last entry is v gains the
+    children v+1, ..., n-t+j in column j, in that order.
+    """
+    sub = np.arange(max(n - t + 1, 0), dtype=np.intp)[:, None]
+    for j in range(1, t):
+        last = sub[:, -1]
+        counts = n - t + j - last
+        sub = np.repeat(sub, counts, axis=0)
+        # Child k of a row lands at row first + k and holds last + 1 + k.
+        first = np.cumsum(counts) - counts
+        col = np.repeat(last + 1 - first, counts) + np.arange(len(sub))
+        sub = np.column_stack([sub, col])
+    return sub
+
+
+def _validated_subsets(subsets: Iterable[Sequence[int]], n: int, t: int) -> np.ndarray:
+    """(count, t) index array of explicit coalitions (t >= 1), each checked."""
+    rows = []
+    for s in subsets:
+        try:
+            row = tuple(map(operator.index, s))
+        except TypeError:
+            row = ()
+        if len(row) != t or len(set(row)) != t or min(row) < 0 or max(row) >= n:
+            raise ParameterError(
+                f"each coalition must hold T={t} distinct worker indices "
+                f"in [0, {n}), got {s!r}"
+            )
+        rows.append(row)
+    return np.array(rows, dtype=np.intp).reshape(-1, t)
+
+
 def sweep_collusion_subsets(
     points: Sequence[EvalPoint],
     K: int,
@@ -196,22 +231,26 @@ def sweep_collusion_subsets(
     subset, and the default sweep counts C(N, T) without enumerating.
     """
     prime_field(q)
+    if T < 0:
+        raise ParameterError(f"tolerance T must be >= 0, got {T}")
     if T == 0:
         return SweepReport(0, ())
+    n = len(points)
     if subsets is None:
         residues = {pt.x % q for pt in points}
-        if len(residues) == len(points) and (K == 0 or 0 not in residues) and q >= m:
-            return SweepReport(math.comb(len(points), T), ())
-        subsets = itertools.combinations(range(len(points)), T)
-    sub = np.fromiter(itertools.chain.from_iterable(subsets), dtype=np.intp)
-    sub = sub.reshape(-1, T)
-    xs = np.array([pt.x % q for pt in points], dtype=np.int64)[sub]
-    xs.sort(axis=1)
-    ok = (np.diff(xs, axis=1) != 0).all(axis=1)
+        if len(residues) == n and (K == 0 or 0 not in residues) and q >= m:
+            return SweepReport(math.comb(n, T), ())
+        sub = _combinations(n, T)
+    else:
+        sub = _validated_subsets(subsets, n, T)
+    # xs[t] holds the residue of every coalition's t-th member.
+    xs = np.array([pt.x % q for pt in points], dtype=np.int64)[sub].T
+    ok = np.full(sub.shape[0], q >= m)
+    for b in range(1, T):
+        for a in range(b):
+            ok &= xs[a] != xs[b]
     if K > 0:
-        ok &= xs[:, 0] != 0  # smallest residue of each sorted row
-    if q < m:
-        ok[:] = False
+        ok &= (xs != 0).all(axis=0)
     failing = sub[~ok][:max_failures]
     return SweepReport(sub.shape[0], tuple(tuple(map(int, row)) for row in failing))
 

@@ -6,14 +6,16 @@ master at j times its duration (communication is instantaneous).  A run
 ends when the recovery-threshold-th result arrives, decode time
 excluded.  A sweep draws one (trials x N) duration matrix from
 default_rng(seed), columns in worker-class order, and reads every
-completion time off it with partial sorts along the rows.
+completion time off it with one partial sort per distinct m for all
+schemes and budgets: a k-th order statistic has the same value
+whichever other kth a partial sort also places.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -91,31 +93,40 @@ def _durations(
     )
 
 
-def _completion_times(durations: np.ndarray, m: int, scheme_rth: int) -> np.ndarray:
-    """Per-trial arrival time of the scheme_rth-th sub-task result.
-
-    Worker i delivers its j-th result at j times its duration, for
-    j = 1..m; each row of `durations` is one trial.
-    """
-    trials, n_workers = durations.shape
+def _check_completable(n_workers: int, m: int, scheme_rth: int) -> None:
     if n_workers * m < scheme_rth:
         raise IncompletableError(
             f"{n_workers} workers x m={m} tasks cannot reach "
             f"the threshold {scheme_rth}"
         )
-    k = scheme_rth - 1
-    out = np.empty(trials)
+
+
+def _completion_times(
+    durations: np.ndarray, m: int, thresholds: Sequence[int]
+) -> np.ndarray:
+    """(len(thresholds), trials) arrival times of each threshold-th result.
+
+    Worker i delivers its j-th result at j times its duration, for
+    j = 1..m; each row of `durations` is one trial.  One partial sort
+    per block of trials places every threshold at once.
+    """
+    trials, n_workers = durations.shape
+    for r_th in thresholds:
+        _check_completable(n_workers, m, r_th)
+    cols = [r_th - 1 for r_th in thresholds]
+    out = np.empty((len(cols), trials))
     for lo in range(0, trials, _BLOCK_ROWS):
         block = durations[lo : lo + _BLOCK_ROWS, :, None] * np.arange(1, m + 1)
         arrivals = block.reshape(block.shape[0], -1)
-        out[lo : lo + _BLOCK_ROWS] = np.partition(arrivals, k, axis=1)[:, k]
+        arrivals.partition(sorted(set(cols)), axis=1)
+        out[:, lo : lo + _BLOCK_ROWS] = arrivals[:, cols].T
     return out
 
 
 def simulate_once(cfg: SimConfig, rng: np.random.Generator) -> float:
     """Arrival time of the scheme_rth-th sub-task result in one trial."""
     durations = _durations(cfg.classes, 1, rng)
-    return float(_completion_times(durations, cfg.m, cfg.scheme_rth)[0])
+    return float(_completion_times(durations, cfg.m, [cfg.scheme_rth])[0, 0])
 
 
 def expected_time(cfg: SimConfig, keep_times: bool = False) -> SimResult:
@@ -125,7 +136,7 @@ def expected_time(cfg: SimConfig, keep_times: bool = False) -> SimResult:
     one draw of default_rng(cfg.seed).
     """
     durations = _durations(cfg.classes, cfg.trials, np.random.default_rng(cfg.seed))
-    return _summary(_completion_times(durations, cfg.m, cfg.scheme_rth), keep_times)
+    return _summary(_completion_times(durations, cfg.m, [cfg.scheme_rth])[0], keep_times)
 
 
 def _summary(times: np.ndarray, keep_times: bool = False) -> SimResult:
@@ -164,25 +175,45 @@ def scheme_point(scheme: str, budget: int, params: SchemeParams) -> tuple[int, i
 def budget_sweep(
     classes: Sequence[WorkerClass],
     params: SchemeParams,
-    budgets: Sequence[int],
-    scheme: str,
+    budgets: Iterable[int],
+    schemes: Sequence[str],
     trials: int,
     seed: int,
 ) -> list[SweepRow]:
-    """Expected completion time per upload budget, one row per budget.
+    """Expected completion time per (scheme, budget), rows in that order.
 
-    One duration matrix drawn from the seed serves every budget, so
-    budgets that map to the same (m, threshold) produce identical rows
-    and comparisons across budgets (and schemes, under one seed) share
-    their random draws.
+    One duration matrix drawn from the seed serves every point, so
+    points that map to the same (m, threshold) produce identical rows
+    and comparisons across budgets and schemes share their random
+    draws.  Each distinct m costs one partial sort per block of trials,
+    which places all of that m's thresholds at once.
     """
+    if isinstance(schemes, str):
+        raise ParameterError(
+            f"schemes must be a sequence of scheme names, got the string {schemes!r}"
+        )
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
+    budgets = list(budgets)
+    n_workers = sum(c.count for c in classes)
+    points = []
+    for scheme in schemes:
+        for budget in budgets:
+            m, r_th = scheme_point(scheme, budget, params)
+            _check_completable(n_workers, m, r_th)
+            points.append((scheme, budget, m, r_th))
+    thresholds: dict[int, set[int]] = {}
+    for _, _, m, r_th in points:
+        thresholds.setdefault(m, set()).add(r_th)
     durations = _durations(classes, trials, np.random.default_rng(seed))
+    summaries = {}
+    for m, r_ths in thresholds.items():
+        r_ths = sorted(r_ths)
+        for r_th, times in zip(r_ths, _completion_times(durations, m, r_ths)):
+            summaries[m, r_th] = _summary(times)
     rows = []
-    for budget in budgets:
-        m, r_th = scheme_point(scheme, budget, params)
-        res = _summary(_completion_times(durations, m, r_th))
+    for scheme, budget, m, r_th in points:
+        res = summaries[m, r_th]
         rows.append(
             SweepRow(
                 scheme=scheme,

@@ -204,12 +204,12 @@ def test_c4_privacy_rank_and_mutual_information():
 
 def _sweep_means(config_name: str, budgets, trials, seed):
     cfg = cli.load_sim_config(config_name)
-    out = {}
-    for scheme in (PROPOSED, GASP):
-        rows = budget_sweep(
-            cfg["classes"], cfg["params"], budgets, scheme, trials, seed
-        )
-        out[scheme] = {row.budget: row.mean_time_s for row in rows}
+    rows = budget_sweep(
+        cfg["classes"], cfg["params"], budgets, (PROPOSED, GASP), trials, seed
+    )
+    out = {PROPOSED: {}, GASP: {}}
+    for row in rows:
+        out[row.scheme][row.budget] = row.mean_time_s
     return out
 
 

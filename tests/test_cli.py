@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -207,3 +208,29 @@ def test_privacy_degenerate_fails_with_witness(capsys):
     assert code == 2
     assert "witness" in out
     assert out.strip().endswith("FAIL")
+
+
+# Recorded before simulate's sweep was shared across schemes and budgets,
+# and before the privacy sweep enumerated coalitions in numpy; the CSV and
+# the audit report must stay byte-identical for a fixed seed.
+GOLDEN_STDOUT = {
+    "simulate": (
+        ["simulate", "--config", "heterogeneous", "--scheme", "both",
+         "--trials", "5000", "--seed", "5"],
+        0,
+        "310ee0f69a4852a4221958fc058a48d61534d8513aca238604657199f3b6b22f",
+    ),
+    "privacy-degenerate": (
+        ["privacy", "--allow-degenerate", "--sweeps", "1", "--seed", "4"],
+        2,
+        "f113337a6dca96788b361299ea97c9dcc5abe204446afd91cf071d9abd1138cc",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_STDOUT))
+def test_stdout_matches_golden_hash(name, capsys):
+    args, want_code, want_hash = GOLDEN_STDOUT[name]
+    code, out, _ = run(args, capsys)
+    assert code == want_code
+    assert hashlib.sha256(out.encode()).hexdigest() == want_hash

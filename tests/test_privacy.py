@@ -10,6 +10,7 @@ from bipoly.errors import (
     ParameterError,
     TooLargeToEnumerateError,
 )
+from bipoly import privacy
 from bipoly.fieldcore import prime_field
 from bipoly.privacy import (
     collusion_view,
@@ -223,7 +224,7 @@ def test_default_sweep_skips_enumeration_when_all_points_pass(monkeypatch):
         decided = len(set(xs)) == n and 0 not in xs and q >= m
         with monkeypatch.context() as patched:
             if decided:
-                patched.setattr(itertools, "combinations", None)
+                patched.setattr(privacy, "_combinations", None)
             report = sweep_collusion_subsets(pts, K, T, m, q, max_failures=10**9)
         assert report.subsets_checked == math.comb(n, T)
         assert report.failing_subsets == want
@@ -231,6 +232,61 @@ def test_default_sweep_skips_enumeration_when_all_points_pass(monkeypatch):
         seen["t_is_n"] += decided and T == n
         seen["t_above_n"] += decided and T > n
     assert min(seen.values()) > 0, seen
+
+
+def test_default_sweep_equals_explicit_combinations_on_degenerate_draws():
+    # The default path enumerates coalitions in numpy; it must list the
+    # same subsets, in the same order and under the same cut, as an
+    # explicit itertools.combinations sweep.
+    rng = np.random.default_rng(4242)
+    seen = {"q_below_m": 0, "zero_x": 0, "repeated_x": 0, "t_above_n": 0}
+    for trial in range(120):
+        q = int(rng.choice([2, 3, 5, 101]))
+        n = int(rng.integers(1, 9))
+        T = int(rng.integers(1, 5))
+        m = int(rng.integers(1, 5))
+        kind = trial % 3
+        xs = rng.integers(1, q, size=n)
+        if kind == 1:
+            xs[rng.integers(n)] = 0
+        elif kind == 2 and n >= 2:
+            xs[1] = xs[0]
+        pts = [EvalPoint(int(x) + q * i, i) for i, x in enumerate(xs)]
+        cut = int(rng.integers(1, 30))
+        got = sweep_collusion_subsets(pts, 1, T, m, q, max_failures=cut)
+        want = sweep_collusion_subsets(
+            pts, 1, T, m, q,
+            subsets=itertools.combinations(range(n), T), max_failures=cut,
+        )
+        assert got == want
+        assert got.subsets_checked == math.comb(n, T)
+        seen["q_below_m"] += q < m
+        seen["zero_x"] += 0 in xs
+        seen["repeated_x"] += len(set(xs.tolist())) < n
+        seen["t_above_n"] += T > n
+    assert min(seen.values()) > 0, seen
+
+
+@pytest.mark.parametrize(
+    "subsets",
+    [
+        [(0, 1, 2), (3,)],  # wrong sizes that would regroup into pairs
+        [(0, -1)],  # negative index
+        [(0, 7)],  # index past N
+        [(0, 1, 2)],  # more than T members
+        [(1, 1)],  # repeated worker
+    ],
+    ids=["regrouped", "negative", "past-n", "oversized", "repeated"],
+)
+def test_explicit_subsets_are_validated(subsets):
+    pts = [EvalPoint(x, 1) for x in (3, 5, 7, 9)]
+    with pytest.raises(ParameterError, match="T=2 distinct worker indices in \\[0, 4\\)"):
+        sweep_collusion_subsets(pts, K=1, T=2, m=1, q=101, subsets=subsets)
+
+
+def test_sweep_rejects_negative_tolerance():
+    with pytest.raises(ParameterError, match="T must be >= 0"):
+        sweep_collusion_subsets([EvalPoint(3, 1)], K=1, T=-1, m=1, q=101)
 
 
 # -- exhaustive mutual information --------------------------------------------

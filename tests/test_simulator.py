@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bipoly.bivariate import SchemeParams
+from bipoly.cli import load_sim_config
 from bipoly.errors import IncompletableError, ParameterError
 from bipoly.simulator import (
     GASP,
@@ -11,6 +12,8 @@ from bipoly.simulator import (
     SWEEP_CSV_HEADER,
     SimConfig,
     WorkerClass,
+    _completion_times,
+    _durations,
     budget_sweep,
     expected_time,
     sample_task_time,
@@ -142,7 +145,7 @@ def test_scheme_point_values():
 def test_budget_sweep_plateau_and_csv():
     p = SchemeParams(K=5, L=5, T=3, m=1, N=51, q=2**31 - 1)
     classes = one_class(51, 0.25, 0.4)
-    rows = budget_sweep(classes, p, range(6, 11), PROPOSED, trials=200, seed=4)
+    rows = budget_sweep(classes, p, range(6, 11), [PROPOSED], trials=200, seed=4)
     assert [r.budget for r in rows] == [6, 7, 8, 9, 10]
     # budgets past the m = L knee share (m, R_th) and therefore the seed-tied mean
     assert len({(r.m, r.r_th, r.mean_time_s) for r in rows}) == 1
@@ -153,6 +156,50 @@ def test_budget_sweep_plateau_and_csv():
     first = lines[1].split(",")
     assert first[0] == PROPOSED and first[1] == "6"
     assert first[2] == "5" and first[3] == "75"
+
+
+@pytest.mark.parametrize("config", ["heterogeneous", "homogeneous"])
+def test_budget_sweep_rows_equal_expected_time_per_point(config):
+    # One partial sort per m serves every (scheme, budget) point; each row
+    # must equal the single-threshold estimate for its (m, R_th) exactly.
+    cfg = load_sim_config(config)
+    trials, seed = 5000, 17  # two partial-sort blocks
+    rows = budget_sweep(
+        cfg["classes"], cfg["params"], range(2, 11), (PROPOSED, GASP), trials, seed
+    )
+    assert [(r.scheme, r.budget) for r in rows] == [
+        (s, b) for s in (PROPOSED, GASP) for b in range(2, 11)
+    ]
+    for r in rows:
+        assert (r.m, r.r_th) == scheme_point(r.scheme, r.budget, cfg["params"])
+        want = expected_time(SimConfig(cfg["classes"], r.r_th, r.m, trials, seed))
+        assert (r.mean_time_s, r.std_err_s) == (want.mean_time, want.std_error)
+
+
+def test_completion_times_many_thresholds_equal_single_calls():
+    classes = (WorkerClass(5, 1.0, 0.2), WorkerClass(4, 0.3, 0.0))
+    durations = _durations(classes, 4200, np.random.default_rng(3))
+    thresholds = [27, 1, 9, 9, 18]  # unsorted, repeated, both ends
+    got = _completion_times(durations, 3, thresholds)
+    assert got.shape == (5, 4200)
+    for row, r_th in zip(got, thresholds):
+        assert np.array_equal(row, _completion_times(durations, 3, [r_th])[0])
+
+
+def test_budget_sweep_raises_first_incompletable_point():
+    # 16 workers reach GASP's budget-10 threshold (5 x 16 >= 79) but not
+    # its budget-6 one; later points fail too, with other thresholds.
+    p = SchemeParams(K=5, L=5, T=3, m=1, N=51, q=2**31 - 1)
+    classes = one_class(16, 1.0, 0.1)
+    with pytest.raises(IncompletableError) as err:
+        budget_sweep(classes, p, [10, 6, 4, 3, 2], (GASP, PROPOSED), 50, 1)
+    assert str(err.value) == "16 workers x m=3 tasks cannot reach the threshold 67"
+
+
+def test_budget_sweep_rejects_a_bare_scheme_string():
+    p = SchemeParams(K=5, L=5, T=3, m=1, N=51, q=2**31 - 1)
+    with pytest.raises(ParameterError, match="sequence of scheme names"):
+        budget_sweep(one_class(51, 1.0, 0.1), p, [2], PROPOSED, 10, 0)
 
 
 def test_worker_class_validation():
