@@ -10,15 +10,19 @@ Python integers and cast the reduced result back to int64.  No other
 function branches on the size of q, and none mutates its inputs.
 
 Matrix products for q < 2**31 go through float64 BLAS.  Only the left
-operand is split, into k limbs of w bits; the right operand stays whole.
-Every float64 value the kernel forms is an integer of at most 2**53, so
-it is exact, and each output word is reduced as few times as that
-allows (the delayed-reduction principle of FFLAS-FFPACK, Dumas, Giorgi
-and Pernet, ACM TOMS 2008).  :func:`limb_plan` derives w and k from q
-and the inner dimension; inner dimensions past the exact limit are cut
-into chunks.  The output is computed in column tiles of about 2**15
-words, so every elementwise pass stays in a 2 MB L2 cache, and each
-tile is written straight into the output, which may be a caller's
+operand is split, into k balanced digits of w bits; the right operand
+stays whole.  Every float64 value the kernel forms is an integer of
+magnitude at most 2**53, so it is exact, and each output word is reduced
+as few times as that allows (the delayed-reduction principle of
+FFLAS-FFPACK, Dumas, Giorgi and Pernet, ACM TOMS 2008).  Balanced digits
+halve a term's magnitude, and where the output is no larger than the
+right operand, centring that operand on [-(q-1)/2, (q-1)/2] as it is
+cast halves it again: at q = 2**31 - 1 a 240-long inner dimension takes
+two 16-bit digits in one BLAS call.  :func:`limb_plan` derives w and k
+from q and the inner dimension; inner dimensions past the exact limit
+are cut into chunks.  The output is computed in column tiles of about
+2**15 words, so every elementwise pass stays in a 2 MB L2 cache, and
+each tile is written straight into the output, which may be a caller's
 strided destination.
 """
 
@@ -48,10 +52,10 @@ _FLOAT_EXACT = 1 << 53
 # Output words per column tile: a tile and its scratch arrays stay in L2.
 _TILE_WORDS = 1 << 15
 
-# A further limb costs a whole product per output word, a further chunk
-# of the inner dimension only one reduction.  So limbs are added only
-# until one exact product sums this many inner terms; longer inner
-# dimensions are chunked.
+# A further digit costs a whole product's multiply-adds per output word,
+# a further chunk of the inner dimension only one reduction.  So digits
+# are added only until one exact product sums this many inner terms;
+# longer inner dimensions are chunked.
 _MIN_CHUNK = 1 << 10
 
 # Witness set making Miller-Rabin deterministic for all 64-bit inputs.
@@ -156,7 +160,9 @@ class PrimeField:
 
         Returns the unique solution, or None when m is singular.  The
         pivot is the first nonzero entry of each column; in an exact
-        field any nonzero pivot is as good as any other.
+        field any nonzero pivot is as good as any other.  Once column c
+        is eliminated it is a unit vector and the pivot row is zero left
+        of c, so each row update touches only the live columns c onwards.
         """
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatchError(f"coefficient matrix {m.shape} is not square")
@@ -173,15 +179,19 @@ class PrimeField:
             p = col + int(pivots[0])
             if p != col:
                 aug[[col, p]] = aug[[p, col]]
-            inv = self.inv(int(aug[col, col]))
-            aug[col] = mul_mod(aug[col], inv, self.q)
-            factors = aug[:, col].copy()
+            live = aug[:, col:]
+            live[col] = mul_mod(live[col], self.inv(int(live[col, 0])), self.q)
+            factors = live[:, :1].copy()
             factors[col] = 0
-            aug = sub_mul_mod(aug, factors[:, None], aug[col][None, :], self.q)
+            live[...] = sub_mul_mod(live, factors, live[col : col + 1], self.q)
         return aug[:, n:]
 
     def rank(self, m: np.ndarray) -> int:
-        """Rank over F_q via row elimination with column skipping."""
+        """Rank over F_q via row elimination with column skipping.
+
+        Rows from the current one down are zero left of the current
+        column, so each update touches only the live columns.
+        """
         a = self.asarray(m)
         rows, cols = a.shape
         r = 0
@@ -194,11 +204,9 @@ class PrimeField:
             p = r + int(pivots[0])
             if p != r:
                 a[[r, p]] = a[[p, r]]
-            inv = self.inv(int(a[r, col]))
-            a[r] = mul_mod(a[r], inv, self.q)
-            if r + 1 < rows:
-                factors = a[r + 1 :, col].copy()
-                a[r + 1 :] = sub_mul_mod(a[r + 1 :], factors[:, None], a[r][None, :], self.q)
+            live = a[r:, col:]
+            live[0] = mul_mod(live[0], self.inv(int(live[0, 0])), self.q)
+            live[1:] = sub_mul_mod(live[1:], live[1:, :1], live[:1], self.q)
             r += 1
         return r
 
@@ -248,34 +256,50 @@ def sub_mul_mod(a, b, c, q: int) -> np.ndarray:
     """Elementwise (a - b * c) mod q, the row update of an elimination.
 
     Below 2**31 it is fused so that the update costs one reduction, not
-    two.  Above, only the product runs on Python integers; the
-    subtraction stays in int64, which is cheaper than converting `a`.
+    two, and it reduces by x - x // q * q: numpy divides int64 by a
+    scalar with a multiply and shift (libdivide), where % divides each
+    word in hardware.  Above, only the product runs on Python integers;
+    the subtraction stays in int64, which is cheaper than converting `a`.
     """
     if q < _INT64_LIMIT:
-        return (a - b * c) % q
+        x = a - b * c
+        x -= x // q * q
+        return x
     return (a - mul_mod(b, c, q)) % q
 
 
-def exact_terms(q: int, w: int) -> int:
-    """Most terms one float64 product of w-bit left limbs sums exactly.
+def exact_terms(q: int, w: int, centred: bool = True) -> int:
+    """Most terms one float64 product of balanced w-bit digits sums exactly.
 
-    A term is a limb, at most min(2**w - 1, q - 1), times a residue, at
-    most q - 1.  A Horner step adds such a sum to the previous residue
-    shifted left by w bits, so the sum may use 2**53 less that carry;
-    the folded form adds no carry and keeps the same bound.
+    The left operand splits into k = ceil(bits / w) balanced digits (see
+    _digits): the low ones lie in [-2**(w-1), 2**(w-1)) and the top one
+    is non-negative.  A term is a digit times a right entry.  In the
+    Horner form (`centred`) that entry is a residue less h = (q - 1) // 2,
+    at most q - 1 - h in magnitude; in the folded form it is a residue.
+    A Horner step adds such a sum to the previous residue shifted left by
+    w bits, and the row correction h * sum_l a[i, l] mod q adds one more
+    residue, so the sum may use 2**53 less both.  The folded form adds
+    neither and keeps the same bound.
     """
-    widest = min((1 << w) - 1, q - 1) * (q - 1)
-    return (_FLOAT_EXACT - ((q - 1) << w)) // widest
+    bits = (q - 1).bit_length()
+    k = -(-bits // w)
+    half = 1 << (w - 1)
+    offset = sum(half << (w * j) for j in range(k - 1))
+    digit = max(half, (q - 1 + offset) >> (w * (k - 1)))
+    right = q - 1 - (q - 1) // 2 if centred else q - 1
+    return (_FLOAT_EXACT - ((q - 1) << w) - (q - 1)) // (digit * right)
 
 
 def limb_plan(q: int, rows: int, inner: int) -> tuple[bool, int, int, int]:
     """(fold, w, k, chunk) of mat_mul_mod for a rows x inner left operand, q < 2**31.
 
-    The left operand splits into k limbs of w bits.  `fold` holds when
-    the output has more rows than the right operand (rows > inner): the
-    limbs then fold into one product whose inner dimension is k times
-    the operand's; otherwise each limb is its own product.  k is the
-    fewest limbs whose exact sum covers that inner dimension, or
+    The left operand splits into k balanced digits of w bits.  `fold`
+    holds when the output has more rows than the right operand
+    (rows > inner): the digits then fold into one product whose inner
+    dimension is k times the operand's, against uncentred residues;
+    otherwise the digit blocks stack along the rows of one product
+    against the centred right operand, recombined by Horner.  k is the
+    fewest digits whose exact sum covers that inner dimension, or
     _MIN_CHUNK terms of it, and one exact product covers `chunk` inner
     columns of the operands.
     """
@@ -283,18 +307,43 @@ def limb_plan(q: int, rows: int, inner: int) -> tuple[bool, int, int, int]:
     bits = (q - 1).bit_length()
     for k in range(1, bits + 1):
         w = -(-bits // k)
-        terms = exact_terms(q, w)
-        # One-bit limbs (k == bits) always sum 2**22 terms exactly.
+        terms = exact_terms(q, w, centred=not fold)
+        # One-bit digits (k == bits) always sum about 2**21 terms exactly.
         if terms >= min(k * inner if fold else inner, _MIN_CHUNK) or k == bits:
             return fold, w, k, terms // k if fold else terms
 
 
-def _reduce(x: np.ndarray, q: int, scratch: np.ndarray, out: np.ndarray | None = None):
-    """x mod q for float64 x holding integers in [0, 2**53], into `out` or x.
+def _digits(a: np.ndarray, w: int, k: int) -> np.ndarray:
+    """Balanced base-2**w digits of a non-negative a, as float64, top digit first.
 
-    The quotient is exact: a non-integer x / q lies at least 1/q from
-    the next integer, which is more than half an ulp of it below 2**53.
-    An int64 `out` takes the result without a separate cast.
+    Returns shape (k,) + a.shape with sum_j digits[k-1-j] * 2**(w*j) == a.
+    The top digit is non-negative and the k - 1 low ones lie in
+    [-2**(w-1), 2**(w-1)).  Each digit of weight 2**(w*j) is the one that
+    leaves a remainder in [-offset, 2**(w*j) - offset), where offset is
+    sum_{i<j} 2**(w-1) * 2**(w*i); every value is an integer below 2**53,
+    so the float arithmetic is exact.
+    """
+    digits = np.empty((k,) + a.shape)
+    rest = digits[k - 1]
+    rest[...] = a
+    half = 1 << (w - 1)
+    for j in range(k - 1, 0, -1):
+        digit = digits[k - 1 - j]
+        np.add(rest, float(sum(half << (w * i) for i in range(j))), out=digit)
+        digit *= 1.0 / (1 << (w * j))
+        np.floor(digit, out=digit)
+        rest -= digit * float(1 << (w * j))
+    return digits
+
+
+def _reduce(x: np.ndarray, q: int, scratch: np.ndarray, out: np.ndarray | None = None):
+    """x mod q for float64 x holding integers in [-2**53, 2**53], into `out` or x.
+
+    The result lies in [0, q) for either sign of x.  The quotient is
+    exact: a non-integer x / q lies at least 1/q from the next integer,
+    which is more than half an ulp of it below 2**53 in magnitude, so
+    rounding cannot carry it across that integer and the floor is the
+    true one.  An int64 `out` takes the result without a separate cast.
     """
     np.divide(x, q, out=scratch)
     np.floor(scratch, out=scratch)
@@ -302,24 +351,29 @@ def _reduce(x: np.ndarray, q: int, scratch: np.ndarray, out: np.ndarray | None =
     return np.subtract(x, scratch, out=x if out is None else out, casting="unsafe")
 
 
-def _horner(limbs: list[np.ndarray], right: np.ndarray, q: int, w: int, scratch) -> np.ndarray:
-    """sum_j limbs[j] @ right * 2**(w*j), reduced before each shift; at most 2**53."""
-    acc = limbs[-1] @ right
-    for limb in reversed(limbs[:-1]):
+def _horner(products: np.ndarray, k: int, q: int, w: int, scratch) -> np.ndarray:
+    """sum_j block_j * 2**(w*j) of k row blocks, top digit first; reduced before each shift.
+
+    Returns the first block, which accumulates the sum in place; every
+    value it holds stays within 2**53 in magnitude.
+    """
+    rows = products.shape[0] // k
+    acc = products[:rows]
+    for j in range(1, k):
         _reduce(acc, q, scratch)
         acc *= float(1 << w)
-        acc += np.matmul(limb, right, out=scratch)
+        acc += products[j * rows : (j + 1) * rows]
     return acc
 
 
 def _folded(left: np.ndarray, right: np.ndarray, q: int, w: int, k: int) -> np.ndarray:
-    """[limb_0 | ... | limb_k-1] @ [right; right * 2**w mod q; ...]; at most 2**53."""
+    """[digit_k-1 | ... | digit_0] @ [right * 2**(w*(k-1)) mod q; ...; right]; within 2**53."""
     inner = right.shape[0]
     stacked = np.empty((k * inner, right.shape[1]))
-    stacked[:inner] = right
-    for j in range(1, k):
-        block = stacked[j * inner : (j + 1) * inner]
-        np.multiply(stacked[(j - 1) * inner : j * inner], float(1 << w), out=block)
+    stacked[(k - 1) * inner :] = right
+    for j in range(k - 1, 0, -1):
+        block = stacked[(j - 1) * inner : j * inner]
+        np.multiply(stacked[j * inner : (j + 1) * inner], float(1 << w), out=block)
         _reduce(block, q, np.empty_like(block))
     return left @ stacked
 
@@ -327,30 +381,42 @@ def _folded(left: np.ndarray, right: np.ndarray, q: int, w: int, k: int) -> np.n
 def _limb_kernel(a: np.ndarray, q: int):
     """A function writing a @ tile mod q into an int64 destination tile.
 
-    The left operand is split into its limbs once, per chunk of the
+    The left operand is split into its digits once, per chunk of the
     inner dimension; each tile of the right operand is cast to float64
-    once per chunk.  A single chunk is reduced once more, straight into
-    the destination; several are reduced each, summed and reduced again.
+    once per chunk, in the Horner form less h = (q - 1) // 2 in the same
+    pass.  The Horner form adds back the row correction
+    h * sum_l a[i, l] mod q once, before the last reduction.  A single
+    chunk is reduced once more, straight into the destination; several
+    are reduced each, summed and reduced again.
     """
     fold, w, k, chunk = limb_plan(q, *a.shape)
-    mask = (1 << w) - 1
+    rows = a.shape[0]
+    h = (q - 1) // 2
     cuts = [slice(at, at + chunk) for at in range(0, a.shape[1], chunk)] or [slice(0, 0)]
+    # Top digit first; folded: side by side, Horner: stacked along the rows.
     lefts = []
     for cut in cuts:
-        limbs = [((a[:, cut] >> (w * j)) & mask).astype(np.float64) for j in range(k)]
-        lefts.append(np.concatenate(limbs, axis=1) if fold else limbs)
+        digits = _digits(a[:, cut], w, k)
+        if fold:
+            lefts.append(np.concatenate(digits, axis=1))
+        else:
+            lefts.append(digits.reshape(k * rows, digits.shape[2]))
+    if not fold:
+        correction = (h * (a.sum(axis=1) % q) % q).astype(np.float64)[:, None]
 
     def product(tile: np.ndarray, dest: np.ndarray) -> None:
-        scratch = np.empty((a.shape[0], tile.shape[1]))
+        scratch = np.empty((rows, tile.shape[1]))
         total = None
         for cut, left in zip(cuts, lefts):
             if fold:
                 acc = _folded(left, tile[cut], q, w, k)
             else:
-                acc = _horner(left, tile[cut].astype(np.float64), q, w, scratch)
+                acc = _horner(left @ np.subtract(tile[cut], float(h)), k, q, w, scratch)
             if len(cuts) > 1:
                 _reduce(acc, q, scratch)
             total = acc if total is None else np.add(total, acc, out=total)
+        if not fold:
+            total += correction
         # Both are contiguous, so reshaping them to dest's shape is a view.
         _reduce(total.reshape(dest.shape), q, scratch.reshape(dest.shape), out=dest)
 
@@ -363,23 +429,26 @@ def mat_mul_mod(
     """Exact a @ b over F_q for canonical 2-D integer operands; int64 result.
 
     The output is filled in column tiles of about 2**15 words.  For
-    q < 2**31 the left operand splits into k limbs of w bits, with w
-    derived from q and the inner dimension (see limb_plan), and the
-    right operand stays whole as float64.  The shape picks one of two
-    forms:
+    q < 2**31 the left operand splits into k balanced digits of w bits,
+    with w derived from q and the inner dimension (see limb_plan), and
+    the right operand stays whole as float64.  The shape picks one of
+    two forms:
 
     * output no larger than the right operand (rows <= inner, as in
-      worker products and decode): one product per limb, recombined by
-      Horner with one reduction per limb;
+      worker products, decode and the direct product): the right
+      operand is centred, b - (q - 1) // 2, as it is cast, and the k
+      digit blocks stack along the rows of one product, which Horner
+      recombines with one reduction per digit; the row correction
+      ((q - 1) // 2) * sum_l a[i, l] mod q is added before the last;
     * output wider than the right operand (rows > inner, as in encode's
-      generator products): the limbs fold into one product against the
-      stacked copies b * 2**(w*j) mod q, so each output word is reduced
-      once.
+      generator products): the digits fold into one product against
+      the stacked copies b * 2**(w*j) mod q, so each output word is
+      reduced once.
 
-    Every float64 value formed is an integer of at most 2**53.  Inner
-    dimensions past the exact limit are cut into chunks whose reduced
-    products are summed and reduced again.  Larger moduli multiply
-    Python integers, one tile at a time.
+    Every float64 value formed is an integer of magnitude at most 2**53.
+    Inner dimensions past the exact limit are cut into chunks whose
+    reduced products are summed and reduced again.  Larger moduli
+    multiply Python integers, one tile at a time.
 
     `out`, when given, is a writable int64 array of shape (..., cols)
     whose leading axes hold the rows in row-major order, such as a

@@ -286,9 +286,11 @@ def compute_all(shares: Sequence[WorkerShare]) -> list[PartialResult]:
             )
         field = prime_field(share.q)
         product = field.mat_mul(share.share_a, np.concatenate(share.shares_b, axis=1))
-        ends = np.cumsum([width for _, width in shapes])
-        for order, block in enumerate(np.split(product, ends[:-1], axis=1)):
+        at = 0
+        for order, (_, width) in enumerate(shapes):
+            block = product[:, at : at + width]
             results.append(PartialResult(share.worker_id, order, share.point, block))
+            at += width
     return results
 
 

@@ -8,6 +8,7 @@ from bipoly.errors import (
 )
 from bipoly.fieldcore import (
     PrimeField,
+    _digits,
     exact_terms,
     is_prime,
     limb_plan,
@@ -240,63 +241,106 @@ def test_kernel_matches_python_ints(q, shape):
     assert np.array_equal(f.mat_mul(top_a, top_b), python_int_mat_mul(top_a, top_b, q))
 
 
-def _constant_product(rows, inner, value, q):
-    """rows x inner entries `value` times an inner x 1 column of q - 1."""
+def _constant_product(rows, inner, value, right, q):
+    """rows x inner entries `value` times an inner x 1 column of `right`."""
     a = np.full((rows, inner), value, dtype=np.int64)
-    b = np.full((inner, 1), q - 1, dtype=np.int64)
-    want = inner * value * (q - 1) % q  # Python-int reference
+    b = np.full((inner, 1), right, dtype=np.int64)
+    want = inner * value * right % q  # Python-int reference
     return mat_mul_mod(a, b, q).tolist() == [[want]] * rows
+
+
+def _widest_lefts(q, w, k):
+    """Left entries at the digit bound, and the top digit they share.
+
+    One has every low digit at -2**(w-1) under the largest top digit;
+    q - 1 has the top digit at its maximum.
+    """
+    offset = sum((1 << (w - 1)) << (w * j) for j in range(k - 1))
+    top = (q - 1 + offset) >> (w * (k - 1))
+    lowest = (top << (w * (k - 1))) - offset
+    assert lowest < q
+    digits = _digits(np.array([lowest, q - 1]), w, k)
+    assert all(int(d[0]) == -(1 << (w - 1)) for d in digits[1:])
+    assert int(digits[0][1]) == top
+    return {lowest, q - 1}
 
 
 @pytest.mark.parametrize("q", [65537, 2**31 - 1])
 def test_kernel_exact_at_the_inner_limit_and_beyond(q):
-    # Entries q - 1, and entries whose low limb is the widest, 2**w - 1,
-    # against a right operand of q - 1: at the limit one product per
-    # chunk is exact, one past it the kernel must take the chunked path.
+    # Left entries at the digit bound against right operands of all 0
+    # (b - h = -h) and all q - 1 (b - h = q - 1 - h): each digit block's
+    # sum reaches the bound in both signs.  At the limit one product per
+    # chunk is exact; one past it the kernel must take the chunked path.
     # A 1-row output is the Horner form (rows <= inner).
     _, w, k, limit = limb_plan(q, 1, 1 << 40)
     assert limit == exact_terms(q, w) and k == -(-(q - 1).bit_length() // w)
-    for value in {q - 1, min((1 << w) - 1, q - 1)}:
-        for inner in (limit, limit + 1):
-            assert _constant_product(1, inner, value, q)
+    for value in _widest_lefts(q, w, k):
+        for right in (0, q - 1):
+            for inner in (limit, limit + 1):
+                assert _constant_product(1, inner, value, right, q)
     # The folded form (rows > inner) splits its chunk's exact sum across
-    # its k stacked limbs.  With one limb (q = 65537) it is the same
-    # single product as the Horner form, and its limit needs > 2**21 rows.
+    # its k digits, against uncentred residues.  With one digit
+    # (q = 65537) its limit needs > 2**21 rows.
     fold, w, k, limit = limb_plan(q, 1 << 40, 1 << 39)
-    assert fold and limit == exact_terms(q, w) // k
+    assert fold and limit == exact_terms(q, w, centred=False) // k
     if k == 1:
         return
-    for value in (q - 1, (1 << w) - 1):
+    for value in _widest_lefts(q, w, k):
         for inner in (limit, limit + 1):
-            assert _constant_product(inner + 1, inner, value, q)
+            assert _constant_product(inner + 1, inner, value, q - 1, q)
 
 
 def test_kernel_limits_are_derived_from_q():
     for q in KERNEL_PRIMES:
         bits = (q - 1).bit_length()
+        h = (q - 1) // 2
         for w in range(1, bits + 1):
-            # A term is at most the widest limb times q - 1, and the
-            # Horner step adds the previous residue shifted by w bits.
-            widest = min((1 << w) - 1, q - 1) * (q - 1)
-            budget = 2**53 - (q - 1) * 2**w
-            limit = exact_terms(q, w)
-            assert limit * widest <= budget < (limit + 1) * widest
+            k = -(-bits // w)
+            # The widest digit is a low one, -2**(w-1), or the top digit
+            # of q - 1.  A term is that digit times b - h in the Horner
+            # form, or times b in the folded form.  The Horner step adds
+            # the previous residue shifted by w bits, and the row
+            # correction one more residue.
+            digit = max(1 << (w - 1), int(_digits(np.array([q - 1]), w, k)[0][0]))
+            budget = 2**53 - (q - 1) * 2**w - (q - 1)
+            for centred, right in ((True, q - 1 - h), (False, q - 1)):
+                widest = digit * right
+                limit = exact_terms(q, w, centred)
+                assert limit * widest <= budget < (limit + 1) * widest
         for rows, inner in [(1, 1), (48, 240), (255, 20), (25, 79), (2, 1), (1, 10**7)]:
             fold, w, k, chunk = limb_plan(q, rows, inner)
             assert fold == (rows > inner)
-            assert k == -(-bits // w)  # k limbs of w bits hold every residue
+            assert k == -(-bits // w)  # k digits of w bits hold every residue
             width = min(inner, chunk)  # inner columns of one exact product
-            assert (k * width if fold else width) <= exact_terms(q, w)
-            if k > 1:  # one limb fewer would not reach the same length
+            assert (k * width if fold else width) <= exact_terms(q, w, not fold)
+            if k > 1:  # one digit fewer would not reach the same length
                 fewer = -(-bits // (k - 1))
                 need = min((k - 1) * inner if fold else inner, 1 << 10)
-                assert exact_terms(q, fewer) < need
+                assert exact_terms(q, fewer, not fold) < need
     # q = 2**31 - 1 at the paper default: a worker product (48 x 240 by
-    # 240 x 240) takes three products, not four, and the B-side
-    # generator product (255 x 20) one folded product of two limbs.
-    assert limb_plan(2**31 - 1, 48, 240) == (False, 11, 3, 2048)
-    assert limb_plan(2**31 - 1, 255, 20) == (True, 16, 2, 31)
+    # 240 x 240) takes two 16-bit digits in one product (11-bit limbs,
+    # three of them, without centring), and the B-side generator product
+    # (255 x 20) one folded product of two digits.
+    assert limb_plan(2**31 - 1, 48, 240) == (False, 16, 2, 251)
+    assert limb_plan(2**31 - 1, 255, 20) == (True, 16, 2, 62)
     assert limb_plan(101, 48, 240)[2] == limb_plan(65537, 48, 240)[2] == 1
+
+
+def test_digits_are_balanced_and_recombine():
+    rng = np.random.default_rng(5)
+    for q in KERNEL_PRIMES:
+        bits = (q - 1).bit_length()
+        a = np.concatenate([np.arange(min(q, 4096)), rng.integers(0, q, 4096)])
+        for w in range(1, bits + 1):
+            k = -(-bits // w)
+            digits = _digits(a, w, k)  # top digit first
+            assert digits.shape == (k,) + a.shape and digits.dtype == np.float64
+            ints = digits[::-1].astype(np.int64).astype(object)
+            whole = sum(d << (w * j) for j, d in enumerate(ints))
+            assert whole.tolist() == a.tolist()
+            for low in digits[1:]:
+                assert low.min() >= -(1 << (w - 1)) and low.max() < 1 << (w - 1)
+            assert digits[0].min() >= 0
 
 
 @pytest.mark.parametrize("q", [101, 2**31 - 1, BIG_PRIME])
