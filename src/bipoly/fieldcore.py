@@ -133,7 +133,13 @@ class PrimeField:
         if arr.dtype == object or arr.dtype == np.uint64:
             # Reduce before the int64 cast, which wraps values >= 2**63.
             return (arr % self.q).astype(np.int64)
-        return arr.astype(np.int64) % self.q
+        # A fresh array: callers such as rank eliminate in place.  Its
+        # bounds cost two reads a word, % a division, so it is reduced
+        # only when a word lies outside [0, q).
+        out = arr.astype(np.int64)
+        if out.size and (out.min() < 0 or out.max() >= self.q):
+            out %= self.q
+        return out
 
     def zeros(self, rows: int, cols: int) -> np.ndarray:
         return np.zeros((rows, cols), dtype=np.int64)
@@ -147,13 +153,15 @@ class PrimeField:
 
     # -- matrix algebra --------------------------------------------------
 
-    def mat_mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Exact matrix product over F_q."""
+    def mat_mul(
+        self, a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Exact matrix product over F_q, into `out` as mat_mul_mod takes it."""
         if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
             raise DimensionMismatchError(
                 f"cannot multiply shapes {a.shape} x {b.shape}"
             )
-        return mat_mul_mod(a, b, self.q)
+        return mat_mul_mod(a, b, self.q, out=out)
 
     def solve_linear(self, m: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
         """Solve m @ x = rhs by Gauss-Jordan elimination.
@@ -290,6 +298,7 @@ def exact_terms(q: int, w: int, centred: bool = True) -> int:
     return (_FLOAT_EXACT - ((q - 1) << w) - (q - 1)) // (digit * right)
 
 
+@functools.lru_cache(maxsize=256)
 def limb_plan(q: int, rows: int, inner: int) -> tuple[bool, int, int, int]:
     """(fold, w, k, chunk) of mat_mul_mod for a rows x inner left operand, q < 2**31.
 
@@ -450,25 +459,41 @@ def mat_mul_mod(
     reduced products are summed and reduced again.  Larger moduli
     multiply Python integers, one tile at a time.
 
-    `out`, when given, is a writable int64 array of shape (..., cols)
-    whose leading axes hold the rows in row-major order, such as a
-    strided view into a larger buffer; it must not overlap a or b.  The
-    product is written into it, tile by tile, and it is returned.
+    `out`, when given, is a writable int64 array that must not overlap a
+    or b, such as a strided view into a larger buffer.  It has one of two
+    shapes:
+
+    * (..., cols), whose leading axes hold the rows in row-major order;
+    * (rows, blocks, width) with blocks * width == cols, whose block j
+      takes columns j * width onwards, so that blocks side by side in the
+      product land in separate records; tiles then hold whole blocks.
+
+    The product is written into it, tile by tile, and it is returned.
     """
     rows, cols = a.shape[0], b.shape[1]
+    width = max(1, _TILE_WORDS // max(rows, 1))
     if out is None:
         out = np.empty((rows, cols), dtype=np.int64)
-    elif (
-        out.dtype != np.int64
-        or out.ndim < 2
-        or out.shape[-1] != cols
-        or int(np.prod(out.shape[:-1])) != rows
-        or not out.flags.writeable
+    usable = out.dtype == np.int64 and out.flags.writeable
+    if (
+        usable
+        and out.ndim >= 2
+        and out.shape[-1] == cols
+        and int(np.prod(out.shape[:-1])) == rows
     ):
+        def dest(start, stop):
+            return out[..., start:stop]
+    elif usable and out.ndim == 3 and out.shape[0] == rows and out.shape[1] * out.shape[2] == cols:
+        step = max(1, out.shape[2])
+        width = max(step, width // step * step)
+
+        def dest(start, stop):
+            return out[:, start // step : stop // step]
+    else:
         raise DimensionMismatchError(
             f"destination {out.dtype} {out.shape} cannot take the {rows} x {cols} "
             f"product of {a.shape} x {b.shape}; expected writable int64 (..., {cols}) "
-            f"with {rows} rows"
+            f"with {rows} rows, or ({rows}, blocks, width) with {cols} columns"
         )
     if q >= _INT64_LIMIT:
         left = a.astype(object)
@@ -477,10 +502,8 @@ def mat_mul_mod(
             dest[...] = (np.dot(left, tile.astype(object)) % q).reshape(dest.shape)
     else:
         product = _limb_kernel(np.asarray(a, dtype=np.int64), q)
-    width = max(1, _TILE_WORDS // max(rows, 1))
     for start in range(0, cols, width):
-        tile = slice(start, start + width)
-        product(b[:, tile], out[..., tile])
+        product(b[:, start : start + width], dest(start, start + width))
     return out
 
 

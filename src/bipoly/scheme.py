@@ -11,8 +11,9 @@ one square linear solve.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
@@ -31,6 +32,7 @@ from .errors import (
     BudgetTooSmallError,
     DecodeSingularError,
     DimensionMismatchError,
+    DuplicatePointsError,
     FieldTooSmallError,
     IndivisibleDimensionsError,
     InvalidOrderError,
@@ -41,6 +43,9 @@ from .errors import (
     ResponseContractError,
 )
 from .fieldcore import mat_mul_mod, prime_field
+
+if TYPE_CHECKING:
+    from .wire import ResultSet, ShareSet
 
 
 @dataclass(frozen=True)
@@ -73,7 +78,7 @@ class DecodedProduct:
 
 
 class Encoding(NamedTuple):
-    shares: list[WorkerShare]
+    shares: ShareSet
     masks_r: list[np.ndarray]
     masks_s: list[list[np.ndarray]]
 
@@ -181,6 +186,42 @@ def sample_points(params: SchemeParams, rng: np.random.Generator) -> list[EvalPo
     return points
 
 
+def _check_points(params: SchemeParams, points: Sequence[EvalPoint]) -> None:
+    """N points that head words can hold and that keep the shares private.
+
+    Every coordinate is an integer in [0, q).  With T >= 1 the x
+    coordinates are also nonzero and pairwise distinct, as sample_points
+    draws them: that is the condition under which every T-coalition
+    learns nothing (privacy.sweep_collusion_subsets).
+    """
+    q = params.q
+    if len(points) != params.N:
+        raise ParameterError(f"expected {params.N} evaluation points, got {len(points)}")
+    seen: dict[int, int] = {}
+    for worker_id, point in enumerate(points, 1):
+        for name, value in zip(("x", "y"), point):
+            try:
+                inside = 0 <= operator.index(value) < q
+            except TypeError:
+                inside = False
+            if not inside:
+                raise ParameterError(
+                    f"worker {worker_id}: {name}={value!r} is not a field element in [0, q={q})"
+                )
+        if params.T >= 1:
+            x = point[0]
+            if x == 0:
+                raise ParameterError(
+                    f"worker {worker_id}: x=0 with T={params.T} would hand it an unmasked A block"
+                )
+            if x in seen:
+                raise DuplicatePointsError(
+                    f"workers {seen[x]} and {worker_id} share x={x}; "
+                    f"T={params.T} needs pairwise distinct x coordinates"
+                )
+            seen[x] = worker_id
+
+
 def encode(
     params: SchemeParams,
     a: np.ndarray,
@@ -190,12 +231,14 @@ def encode(
     masks_r: Sequence[np.ndarray] | None = None,
     masks_s: Sequence[Sequence[np.ndarray]] | None = None,
 ) -> Encoding:
-    """Produce the N worker shares for multiplying a @ b.
+    """Produce the N worker shares for multiplying a @ b, as one blob's ShareSet.
 
     Masks default to fresh uniform draws; points default to
-    sample_points().  Both can be injected for deterministic tests.  The
-    returned masks exist for test instrumentation only and must never be
-    serialized alongside worker-facing data.
+    sample_points().  Both can be injected for deterministic tests;
+    injected points must be field elements and, with T >= 1, have
+    nonzero, pairwise distinct x.  The returned masks exist for test
+    instrumentation only and must never be serialized alongside
+    worker-facing data.
     """
     field = params.field
     parts_a, parts_b = partition(params, a, b)
@@ -207,10 +250,8 @@ def encode(
         )
     if points is None:
         points = sample_points(params, rng)
-    elif len(points) != params.N:
-        raise ParameterError(
-            f"expected {params.N} evaluation points, got {len(points)}"
-        )
+    else:
+        _check_points(params, points)
     # Drawn masks are canonical already; only injected ones are reduced.
     if masks_r is None:
         masks_r = [field.random_matrix(rng, br, s) for _ in range(params.T)]
@@ -227,7 +268,7 @@ def encode(
     # call per side for all N workers, written straight into the share
     # records of the wire blob, so each share is a read-only view of its
     # worker's record.
-    from .wire import share_blob  # wire imports this module's share types
+    from .wire import share_set  # wire imports this module's share types
 
     coeffs_a = stack_coefficients_a(params, parts_a, masks_r)
     coeffs_b = stack_coefficients_b(params, parts_b, masks_s)
@@ -237,15 +278,9 @@ def encode(
         share_monomials_b(params),
         field,
     )
-    side_a, side_b, blocks = share_blob(params, (a.shape[0], s, b.shape[1]))
+    shares, side_a, side_b = share_set(params, (a.shape[0], s, b.shape[1]), points)
     mat_mul_mod(gen_a, coeffs_a, params.q, out=side_a)
     mat_mul_mod(gen_b, coeffs_b, params.q, out=side_b)
-    shares = [
-        WorkerShare(
-            worker_id=i + 1, point=pt, q=params.q, share_a=share_a, shares_b=tuple(shares_b)
-        )
-        for i, (pt, (share_a, *shares_b)) in enumerate(zip(points, blocks))
-    ]
     return Encoding(shares, list(masks_r), [list(row) for row in masks_s])
 
 
@@ -267,13 +302,24 @@ def worker_compute(share: WorkerShare, order: int) -> PartialResult:
     )
 
 
-def compute_all(shares: Sequence[WorkerShare]) -> list[PartialResult]:
+def compute_all(shares: Sequence[WorkerShare]) -> ResultSet | list[PartialResult]:
     """Run every worker through all m sub-tasks in increasing order.
 
     Each worker's m sub-tasks run as one product of its A share with its
     B shares side by side, so the A share is split once; the m results
-    are column slices of that product, equal to worker_compute's.
+    are column blocks of that product, equal to worker_compute's.  For a
+    ShareSet the product is written straight into the worker's m records
+    of one result blob, and the blob's ResultSet is returned; a share
+    list of any other kind gives a list of per-worker products.
     """
+    from .wire import ShareSet, result_set  # wire imports this module's share types
+
+    if isinstance(shares, ShareSet):
+        results, products = result_set(shares)
+        field = shares.params.field
+        for share, out in zip(shares, products):
+            field.mat_mul(share.share_a, np.concatenate(share.shares_b, axis=1), out=out)
+        return results
     results = []
     for share in shares:
         shapes = [np.shape(blk) for blk in share.shares_b]

@@ -23,20 +23,26 @@ u64 range, and a dump refuses an id or coordinate outside it.  Masks
 are deliberately absent: serialized bytes model exactly what the
 workers and master exchange.  The layout is bit-exact across platforms.
 
-No payload word is copied more often than it must be.  `scheme.encode`
-writes its generator products straight into the records of one share
-blob (`share_blob`), and its shares are read-only int64 views of those
-records; `dump_shares` of such shares writes the header and head words
-and hands out that blob without a copy.  Any other share list, and
-every result list, is packed into a new blob, each word written once.
-Both dumps return a read-only byte `memoryview` of the blob, holding
-the same bytes as ever.  Loaded blocks are read-only int64 views of the
-blob, not copies.
+No dump copies a payload word that a set already holds.  A set
+(`ShareSet`, `ResultSet`) is a read-only sequence of `WorkerShare` or
+`PartialResult` over one blob: it carries the blob, its params and its
+dims, and its blocks are read-only int64 views of the records.
+`scheme.encode` writes the header and head words of a share blob once,
+writes its generator products straight into the records and returns
+the blob's `ShareSet`; `scheme.compute_all` of a `ShareSet` does the
+same for a result blob and returns its `ResultSet`; the loaders return
+sets over the bytes they are given.  A dump of a set under the set's
+own params and dims checks every field word and hands out its blob
+without a copy; any other list is packed into a new blob, each word
+written once.  No blob is written again once a set holds it.  Both
+dumps return a read-only byte `memoryview`, holding the same bytes as
+ever.  Slicing a set gives a plain list.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from collections.abc import Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,11 +57,11 @@ _HEADER_WORDS = 11
 
 
 class _Record(NamedTuple):
-    """One record: the named u64 id words, then x and y, then the named blocks."""
+    """One record: the named u64 id words, then x and y, then groups of equal blocks."""
 
     ids: tuple[str, ...]
-    names: tuple[str, ...]
-    shapes: tuple[tuple[int, int], ...]
+    # Each group: name, number of blocks, block shape.
+    groups: tuple[tuple[str, int, tuple[int, int]], ...]
 
     @property
     def heads(self) -> tuple[str, ...]:
@@ -63,15 +69,20 @@ class _Record(NamedTuple):
         return self.ids + ("x", "y")
 
     @property
-    def width(self) -> int:
-        return len(self.heads) + sum(h * w for h, w in self.shapes)
+    def blocks(self) -> list[tuple[str, tuple[int, int]]]:
+        """Name and shape of each block, in record order."""
+        return [(name, shape) for name, count, shape in self.groups for _ in range(count)]
 
-    def blocks(self, row: np.ndarray) -> list[np.ndarray]:
-        """Views of the blocks held in one record's words."""
+    @property
+    def width(self) -> int:
+        return len(self.heads) + sum(h * w for _, (h, w) in self.blocks)
+
+    def regions(self, body: np.ndarray) -> list[np.ndarray]:
+        """Views of each group's words in every record, shape (records, blocks, h * w)."""
         out, at = [], len(self.heads)
-        for h, w in self.shapes:
-            out.append(row[at : at + h * w].reshape(h, w))
-            at += h * w
+        for _, count, (h, w) in self.groups:
+            out.append(body[:, at : at + count * h * w].reshape(len(body), count, h * w))
+            at += count * h * w
         return out
 
 
@@ -83,12 +94,9 @@ def _layout(params: SchemeParams, dims: tuple[int, int, int]) -> dict[str, _Reco
     if c % params.L:
         raise WireFormatError(f"L | c violated: L={params.L} does not divide c={c}")
     br, bc = r // params.K, c // params.L
-    m = params.m
     return {
-        "share": _Record(
-            ("worker_id",), ("A-share",) + ("B-share",) * m, ((br, s),) + ((s, bc),) * m
-        ),
-        "result": _Record(("worker_id", "order"), ("product",), ((br, bc),)),
+        "share": _Record(("worker_id",), (("A-share", 1, (br, s)), ("B-share", params.m, (s, bc)))),
+        "result": _Record(("worker_id", "order"), (("product", 1, (br, bc)),)),
     }
 
 
@@ -99,6 +107,129 @@ def _allocate(
     rec = _layout(params, dims)[kind]
     words = np.empty(_HEADER_WORDS + count * rec.width, dtype="<u8")
     return rec, words, words[_HEADER_WORDS:].reshape(count, rec.width)
+
+
+def _write_header(words: np.ndarray, params: SchemeParams, dims: tuple[int, int, int]) -> None:
+    words[:_HEADER_WORDS] = (
+        MAGIC, VERSION, params.q, params.K, params.L, params.T, params.m, params.N, *dims
+    )
+
+
+def _check_field_words(body: np.ndarray, rec: _Record, kind: str, q: int) -> None:
+    """x, y and every block word of every record are field elements below q."""
+    # A negative entry wraps above 2**63, so this one test also refuses it.
+    # Row by row, the strided records need no 64 KiB reduction buffer.
+    if body.size and int(body[:, len(rec.ids) :].max(axis=1).max()) >= q:
+        raise WireFormatError(
+            f"{kind} payload holds a word >= q={q}; field words must be < q"
+        )
+
+
+def _bytes(words: np.ndarray) -> memoryview:
+    return memoryview(words).toreadonly().cast("B")
+
+
+class _BlobSet(Sequence):
+    """The records of one blob as a read-only sequence; slices are plain lists.
+
+    Carries the blob's params and dims.  The items are built once, from
+    one read of the head words, over read-only int64 views of the blocks.
+    """
+
+    kind = ""
+
+    def __init__(self, params: SchemeParams, dims: tuple[int, int, int], words: np.ndarray):
+        rec = _layout(params, dims)[self.kind]
+        body = words[_HEADER_WORDS:].reshape(
+            (words.size - _HEADER_WORDS) // rec.width, rec.width
+        )
+        signed = body.view(np.int64)
+        signed.flags.writeable = False
+        blocks = [
+            region.reshape(len(body), count, h, w)
+            for region, (_, count, (h, w)) in zip(rec.regions(signed), rec.groups)
+        ]
+        self.params, self.dims = params, tuple(dims)
+        self._rec, self._words, self._body = rec, words, body
+        heads = body[:, : len(rec.heads)].tolist()
+        self._items = tuple(self._make(params.q, heads, *blocks))
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(self._items[index])
+        return self._items[index]
+
+    def __iter__(self):
+        return iter(self._items)
+
+    def blob(self) -> memoryview:
+        """The blob's read-only bytes, once every field word is checked below q."""
+        _check_field_words(self._body, self._rec, self.kind, self.params.q)
+        return _bytes(self._words)
+
+
+class ShareSet(_BlobSet):
+    """The N worker shares of one share blob, in record order."""
+
+    kind = "share"
+
+    @staticmethod
+    def _make(q, heads, side_a, side_b):
+        for (worker_id, x, y), (share_a,), shares_b in zip(heads, side_a, side_b):
+            yield WorkerShare(worker_id, EvalPoint(x, y), q, share_a, tuple(shares_b))
+
+
+class ResultSet(_BlobSet):
+    """The partial results of one result blob, in record order."""
+
+    kind = "result"
+
+    @staticmethod
+    def _make(q, heads, products):
+        for (worker_id, order, x, y), (product,) in zip(heads, products):
+            yield PartialResult(worker_id, order, EvalPoint(x, y), product)
+
+
+def share_set(
+    params: SchemeParams, dims: tuple[int, int, int], points: Sequence[EvalPoint]
+) -> tuple[ShareSet, np.ndarray, np.ndarray]:
+    """A share blob for encode, its header and head words written once.
+
+    Worker i + 1 gets points[i], whose coordinates must be canonical.
+    Returns the blob's set and the writable int64 A and B regions of its
+    records, shapes (N, 1, r/K * s) and (N, m, s * c/L), for encode's
+    generator products.
+    """
+    rec, words, body = _allocate(params, dims, "share", params.N)
+    _write_header(words, params, dims)
+    body[:, : len(rec.heads)] = [(i, x, y) for i, (x, y) in enumerate(points, 1)]
+    side_a, side_b = rec.regions(body.view(np.int64))
+    return ShareSet(params, dims, words), side_a, side_b
+
+
+def result_set(shares: ShareSet) -> tuple[ResultSet, np.ndarray]:
+    """A result blob for compute_all: m records per share, worker by worker.
+
+    The header is the share blob's, and record (i, order) holds worker
+    i's id, order and point.  Returns the blob's set and the writable
+    products, shape (N, r/K, m, c/L): entry i takes worker i's m products
+    side by side, as mat_mul_mod's (rows, blocks, width) destination.
+    """
+    params, dims = shares.params, shares.dims
+    n, m = len(shares), params.m
+    rec, words, body = _allocate(params, dims, "result", n * m)
+    words[:_HEADER_WORDS] = shares._words[:_HEADER_WORDS]
+    heads = body[:, : len(rec.heads)].reshape(n, m, len(rec.heads))
+    # Share heads (worker_id, x, y) into result heads (worker_id, order, x, y).
+    heads[:, :, [0, 2, 3]] = shares._body[:, None, : len(shares._rec.heads)]
+    heads[:, :, 1] = np.arange(m)
+    (products,) = rec.regions(body.view(np.int64))
+    br, bc = rec.groups[0][2]
+    products = products.reshape(n, m, br, bc).transpose(0, 2, 1, 3)
+    return ResultSet(params, dims, words), products
 
 
 def _seal(
@@ -118,14 +249,14 @@ def _seal(
             if not 0 <= int(value) < 1 << 64:
                 raise WireFormatError(f"{what}: {name}={value} does not fit a u64 word")
         heads.append([int(value) for value in head])
-    words[:_HEADER_WORDS] = (
-        MAGIC, VERSION, params.q, params.K, params.L, params.T, params.m, params.N, *dims
-    )
+    _write_header(words, params, dims)
     body = words[_HEADER_WORDS:].reshape(len(records), rec.width)
-    body[:, : len(rec.heads)] = np.array(heads, dtype=np.uint64).reshape(len(records), -1)
-    # A negative entry wraps above 2**63, so this one test also refuses it.
+    # Explicit shapes: -1 cannot be inferred from zero records.
+    body[:, : len(rec.heads)] = np.array(heads, dtype=np.uint64).reshape(
+        len(records), len(rec.heads)
+    )
     _check_field_words(body, rec, kind, params.q)
-    return memoryview(words).toreadonly().cast("B")
+    return _bytes(words)
 
 
 def _pack(
@@ -134,85 +265,24 @@ def _pack(
     """Header plus one record per (ids, point, blocks, label), each word written once."""
     rec, words, body = _allocate(params, dims, kind, len(records))
     for _, _, blocks, what in records:
-        for blk, name, shape in zip(blocks, rec.names, rec.shapes):
+        for blk, (name, shape) in zip(blocks, rec.blocks):
             if np.shape(blk) != shape:
                 raise WireFormatError(
                     f"{what} {name} has block shape {np.shape(blk)}, but dims give {shape}"
                 )
-    for row, (_, _, blocks, _) in zip(body, records):
-        for view, blk in zip(rec.blocks(row), blocks):
-            view[...] = blk
+    views = [
+        region[:, j].reshape(len(records), h, w)
+        for region, (_, count, (h, w)) in zip(rec.regions(body), rec.groups)
+        for j in range(count)
+    ]
+    for i, (_, _, blocks, _) in enumerate(records):
+        for view, blk in zip(views, blocks):
+            view[i] = blk
     return _seal(params, dims, kind, words, records)
 
 
-def share_blob(
-    params: SchemeParams, dims: tuple[int, int, int]
-) -> tuple[np.ndarray, np.ndarray, list[list[np.ndarray]]]:
-    """An unfilled blob of N share records for encode to write into.
-
-    Returns the writable int64 A and B regions of the records, shapes
-    (N, r/K * s) and (N, m, s * c/L), and each record's blocks as
-    read-only views.  dump_shares writes the header and head words and
-    hands the blob out without a copy while the shares it is given hold
-    exactly these views, in record order.
-    """
-    rec, _, body = _allocate(params, dims, "share", params.N)
-    signed = body.view(np.int64)
-    start = len(rec.heads)
-    split = start + rec.shapes[0][0] * rec.shapes[0][1]
-    side_a = signed[:, start:split]
-    side_b = signed[:, split:].reshape(params.N, params.m, -1)
-    frozen = signed.view()
-    frozen.flags.writeable = False
-    return side_a, side_b, [rec.blocks(row) for row in frozen]
-
-
-def _where(arr) -> tuple:
-    """Address, shape, strides and dtype: what makes two views the same view."""
-    if not isinstance(arr, np.ndarray):
-        return ()
-    return arr.__array_interface__["data"][0], arr.shape, arr.strides, arr.dtype
-
-
-def _share_blob_of(
-    params: SchemeParams, dims: tuple[int, int, int], shares: Sequence[WorkerShare]
-) -> np.ndarray | None:
-    """The share_blob words that hold every share's blocks in place, if any.
-
-    The words must own their memory, be writable and have the length
-    the layout gives, and share i's blocks must be the views at record
-    i's block positions; otherwise None.
-    """
-    words = shares[0].share_a
-    while isinstance(words, np.ndarray) and isinstance(words.base, np.ndarray):
-        words = words.base
-    rec = _layout(params, dims)["share"]
-    if not (
-        isinstance(words, np.ndarray)
-        and words.base is None
-        and words.flags.writeable
-        and words.dtype == np.dtype("<u8")
-        and words.shape == (_HEADER_WORDS + len(shares) * rec.width,)
-    ):
-        return None
-    body = words[_HEADER_WORDS:].reshape(len(shares), rec.width).view(np.int64)
-    for sh, row in zip(shares, body):
-        for blk, view in zip((sh.share_a, *sh.shares_b), rec.blocks(row)):
-            if _where(blk) != _where(view):
-                return None
-    return words
-
-
-def _check_field_words(body: np.ndarray, rec: _Record, kind: str, q: int) -> None:
-    """x, y and every block word of every record are field elements below q."""
-    if body.size and int(body[:, len(rec.ids) :].max()) >= q:
-        raise WireFormatError(
-            f"{kind} payload holds a word >= q={q}; field words must be < q"
-        )
-
-
-def _unpack(data: bytes, kind: str) -> tuple:
-    """Parse and check a blob: params, dims, layout, its records as u64 and as int64."""
+def _unpack(data: bytes, kind: str) -> tuple[SchemeParams, tuple[int, int, int], np.ndarray]:
+    """Parse and check a blob: its params, dims and u64 words."""
     if len(data) % 8:
         raise WireFormatError(f"byte length {len(data)} is not a multiple of 8")
     words = np.frombuffer(data, dtype="<u8")
@@ -232,12 +302,8 @@ def _unpack(data: bytes, kind: str) -> tuple:
             f"{kind} payload holds {body.size} words, "
             f"not {count} whole records of {rec.width} words"
         )
-    records = body.reshape(count, rec.width)
-    _check_field_words(records, rec, kind, params.q)
-    # Ids are read from the u64 words; x, y and blocks from int64 views.
-    signed = records.view(np.int64)
-    signed.flags.writeable = False
-    return params, dims, rec, records, signed
+    _check_field_words(body.reshape(count, rec.width), rec, kind, params.q)
+    return params, dims, words
 
 
 def dump_shares(
@@ -247,13 +313,12 @@ def dump_shares(
 ) -> memoryview:
     """Serialize all worker shares (header + N fixed-size records).
 
-    Shares straight from encode already sit in their records: the blob
-    they view gets its header and head words (re)written from `params`,
-    `dims` and the share objects, is checked like a packed one, and is
-    returned without a copy.  Such a blob is one buffer per encoding, so
-    a later dump of the same shares rewrites its head words.  Any other
-    share list is packed into a new blob.
+    A ShareSet under its own params and dims hands out its blob, once
+    its field words are checked.  Any other share list is packed into a
+    new blob.
     """
+    if isinstance(shares, ShareSet) and (shares.params, shares.dims) == (params, tuple(dims)):
+        return shares.blob()
     if len(shares) != params.N:
         raise WireFormatError(f"expected {params.N} shares, got {len(shares)}")
     for sh in shares:
@@ -262,24 +327,16 @@ def dump_shares(
                 f"worker {sh.worker_id} holds {len(sh.shares_b)} B-shares, "
                 f"expected m={params.m}"
             )
-    records = [
+    return _pack(params, dims, "share", [
         ((sh.worker_id,), sh.point, (sh.share_a, *sh.shares_b), f"worker {sh.worker_id}")
         for sh in shares
-    ]
-    words = _share_blob_of(params, dims, shares)
-    if words is None:
-        return _pack(params, dims, "share", records)
-    return _seal(params, dims, "share", words, records)
+    ])
 
 
-def load_shares(data: bytes) -> tuple[SchemeParams, tuple[int, int, int], list[WorkerShare]]:
-    params, dims, rec, records, signed = _unpack(data, "share")
-    shares = []
-    for ids, row in zip(records, signed):
-        share_a, *shares_b = rec.blocks(row)
-        point = EvalPoint(int(row[1]), int(row[2]))
-        shares.append(WorkerShare(int(ids[0]), point, params.q, share_a, tuple(shares_b)))
-    return params, dims, shares
+def load_shares(data: bytes) -> tuple[SchemeParams, tuple[int, int, int], ShareSet]:
+    """The params, dims and shares of a share blob; the shares view `data`."""
+    params, dims, words = _unpack(data, "share")
+    return params, dims, ShareSet(params, dims, words)
 
 
 def dump_results(
@@ -287,7 +344,14 @@ def dump_results(
     dims: tuple[int, int, int],
     results: Sequence[PartialResult],
 ) -> memoryview:
-    """Serialize partial results; the record count is implicit."""
+    """Serialize partial results; the record count is implicit.
+
+    A ResultSet under its own params and dims hands out its blob, once
+    its field words are checked.  Any other result list is packed into
+    a new blob.
+    """
+    if isinstance(results, ResultSet) and (results.params, results.dims) == (params, tuple(dims)):
+        return results.blob()
     return _pack(params, dims, "result", [
         ((res.worker_id, res.order), res.point, (res.product,),
          f"worker {res.worker_id} order {res.order}")
@@ -295,17 +359,7 @@ def dump_results(
     ])
 
 
-def load_results(
-    data: bytes,
-) -> tuple[SchemeParams, tuple[int, int, int], list[PartialResult]]:
-    params, dims, rec, records, signed = _unpack(data, "result")
-    results = [
-        PartialResult(
-            worker_id=int(ids[0]),
-            order=int(ids[1]),
-            point=EvalPoint(int(row[2]), int(row[3])),
-            product=rec.blocks(row)[0],
-        )
-        for ids, row in zip(records, signed)
-    ]
-    return params, dims, results
+def load_results(data: bytes) -> tuple[SchemeParams, tuple[int, int, int], ResultSet]:
+    """The params, dims and results of a result blob; the results view `data`."""
+    params, dims, words = _unpack(data, "result")
+    return params, dims, ResultSet(params, dims, words)

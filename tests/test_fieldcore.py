@@ -388,6 +388,43 @@ def test_kernel_writes_into_strided_and_3d_destinations(q, rows, inner):
 
 
 @pytest.mark.parametrize("q", OUT_PRIMES)
+@pytest.mark.parametrize("rows, blocks, width", [(64, 7, 100), (32, 2, 1100)])
+def test_kernel_writes_side_by_side_blocks_into_separate_records(q, rows, blocks, width):
+    # A rows x (blocks * width) product into a (rows, blocks, width) view:
+    # block j lands in record j, as compute_all writes a worker's m
+    # products.  Tiles hold whole blocks: five 100-wide blocks to a tile
+    # of 512 columns, or one 1100-wide block past a 1024-column tile.
+    f = prime_field(q)
+    rng = np.random.default_rng(rows + q % 13)
+    a = f.random_matrix(rng, rows, 5)
+    b = f.random_matrix(rng, 5, blocks * width)
+    want = python_int_mat_mul(a, b, q)
+    records = np.full((blocks, 4 + rows * width), -1, dtype=np.int64)
+    dest = records[:, 4:].reshape(blocks, rows, width).transpose(1, 0, 2)
+    assert np.shares_memory(dest, records)
+    assert f.mat_mul(a, b, out=dest) is dest
+    for j in range(blocks):
+        got = records[j, 4:].reshape(rows, width)
+        assert np.array_equal(got, want[:, j * width : (j + 1) * width])
+    assert (records[:, :4] == -1).all()
+    with pytest.raises(DimensionMismatchError, match="destination"):
+        mat_mul_mod(a, b, q, out=np.zeros((rows, blocks + 1, width), dtype=np.int64))
+
+
+def test_asarray_returns_a_fresh_array_reduced_only_where_needed():
+    f = prime_field(101)
+    canonical = np.array([[0, 100], [5, 7]], dtype=np.int64)
+    out = f.asarray(canonical)
+    assert out.dtype == np.int64 and not np.shares_memory(out, canonical)
+    out[0, 0] = 9
+    assert canonical[0, 0] == 0
+    wide = np.array([[101, -1], [202, 3]], dtype=np.int32)
+    assert f.asarray(wide).tolist() == [[0, 100], [0, 3]]
+    assert f.asarray(np.array([[True, False]])).tolist() == [[1, 0]]
+    assert f.asarray(np.zeros((0, 3), dtype=np.int64)).shape == (0, 3)
+
+
+@pytest.mark.parametrize("q", OUT_PRIMES)
 @pytest.mark.parametrize("rows, inner", [(6, 20), (24, 5)])
 def test_kernel_rejects_a_destination_of_the_wrong_shape_or_dtype(q, rows, inner):
     f = prime_field(q)

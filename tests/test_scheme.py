@@ -9,6 +9,7 @@ from bipoly.errors import (
     BudgetTooSmallError,
     DecodeSingularError,
     DimensionMismatchError,
+    DuplicatePointsError,
     FieldTooSmallError,
     IndivisibleDimensionsError,
     InvalidOrderError,
@@ -159,6 +160,47 @@ def test_encode_requires_rng_or_full_injection():
         encode(p, a, b)
     enc = encode(p, a, b, points=[EvalPoint(1, 1)], masks_r=[], masks_s=[])
     assert len(enc.shares) == 1
+
+
+POINTS_101 = [EvalPoint(3, 7), EvalPoint(5, 2), EvalPoint(9, 4), EvalPoint(11, 0)]
+
+
+@pytest.mark.parametrize(
+    "worker, point, error, match",
+    [
+        (2, EvalPoint(101, 3), ParameterError, r"worker 2: x=101 is not a field element"),
+        (3, EvalPoint(4, -1), ParameterError, r"worker 3: y=-1 is not a field element"),
+        (4, EvalPoint(2**64, 1), ParameterError, r"worker 4: x=18446744073709551616"),
+        (1, EvalPoint(2.5, 1), ParameterError, r"worker 1: x=2.5 is not a field element"),
+        (2, EvalPoint(0, 3), ParameterError, r"worker 2: x=0 with T=1 .* unmasked A block"),
+        (3, EvalPoint(3, 8), DuplicatePointsError, r"workers 1 and 3 share x=3"),
+    ],
+)
+def test_encode_refuses_injected_points_heads_cannot_hold_or_that_break_privacy(
+    worker, point, error, match
+):
+    p = make_params(2, 2, 1, 2, 4, q=101)
+    f = p.field
+    rng = np.random.default_rng(4)
+    a, b = f.random_matrix(rng, 4, 4), f.random_matrix(rng, 4, 4)
+    points = list(POINTS_101)
+    points[worker - 1] = point
+    with pytest.raises(error, match=match):
+        encode(p, a, b, rng, points=points)
+
+
+def test_encode_at_t0_allows_repeated_and_zero_x_but_not_other_bad_points():
+    p = make_params(2, 2, 0, 2, 4, q=101)
+    f = p.field
+    rng = np.random.default_rng(4)
+    a, b = f.random_matrix(rng, 4, 4), f.random_matrix(rng, 4, 4)
+    points = [EvalPoint(0, 1), EvalPoint(0, 1), EvalPoint(5, 2), EvalPoint(5, 3)]
+    enc = encode(p, a, b, rng, points=points)
+    assert [sh.point for sh in enc.shares] == points
+    with pytest.raises(ParameterError, match=r"worker 4: y=101"):
+        encode(p, a, b, rng, points=points[:3] + [EvalPoint(5, 101)])
+    with pytest.raises(ParameterError, match="expected 4 evaluation points, got 3"):
+        encode(p, a, b, rng, points=points[:3])
 
 
 def test_upload_cost_formula():

@@ -247,21 +247,23 @@ def test_in_place_dump_equals_the_packed_bytes(q):
     assert bytes(packed) == bytes(blob)
 
 
-def test_in_place_dump_writes_replaced_head_words():
+def test_replaced_head_words_are_packed_not_written_in_place():
+    # A list of replaced shares is packed into a new blob; the set's blob,
+    # and the view a dump of it returned, keep their bytes.
     p, dims, shares, _ = pipeline(101)
-    first = bytes(wire.dump_shares(p, dims, shares))
+    first = wire.dump_shares(p, dims, shares)
+    before = bytes(first)
     moved = list(shares)
     moved[1] = replace(moved[1], worker_id=99, point=EvalPoint(3, 4))
     moved[4] = replace(moved[4], worker_id=2**64 - 1)
     blob = wire.dump_shares(p, dims, moved)
-    assert _in_blob(blob, moved)
-    copied = moved[:-1] + [replace(moved[-1], share_a=moved[-1].share_a.copy())]
-    assert bytes(blob) == bytes(wire.dump_shares(p, dims, copied))
+    assert _in_blob(first, shares) and not _in_blob(blob, shares)
+    assert bytes(first) == before
+    assert bytes(wire.dump_shares(p, dims, shares)) == before
     loaded = wire.load_shares(blob)[2]
     assert (loaded[1].worker_id, loaded[1].point) == (99, (3, 4))
     assert loaded[4].worker_id == 2**64 - 1
-    # Dumping the encoded shares again writes their own head words back.
-    assert bytes(wire.dump_shares(p, dims, shares)) == first
+    assert all(shares_equal(a, b) for a, b in zip(moved, loaded))
 
 
 def test_reordered_shares_fall_back_to_the_packer():
@@ -362,6 +364,83 @@ def test_dumps_name_the_head_word_outside_the_u64_range(value):
         with pytest.raises(WireFormatError, match=rf"{name}={value} does not fit"):
             wire.dump_results(p, dims, [bad])
 
+
+def test_sets_carry_their_blob_and_slice_to_lists():
+    p, dims, shares, results = pipeline(101)
+    assert isinstance(shares, wire.ShareSet) and isinstance(results, wire.ResultSet)
+    for obj in (shares, results):
+        assert (obj.params, obj.dims) == (p, dims)
+    assert len(shares) == p.N and len(results) == p.N * p.m
+    assert [(r.worker_id, r.order) for r in results] == [
+        (i, o) for i in range(1, p.N + 1) for o in range(p.m)
+    ]
+    assert [res.point for res in results[::p.m]] == [sh.point for sh in shares]
+    assert isinstance(shares[1:], list) and isinstance(results[::-1], list)
+    assert len(results[:3] + [results[0]]) == 4
+    assert shares[-1].worker_id == p.N
+    down = wire.dump_results(p, dims, results)
+    words = np.frombuffer(down, dtype=np.uint8)
+    for res in results:
+        assert not res.product.flags.writeable and np.shares_memory(res.product, words)
+    with pytest.raises(ValueError):
+        results[0].product[0, 0] = 1
+
+
+@pytest.mark.parametrize("q", [101, 2**31 - 1, BIG_PRIME])
+def test_compute_all_of_a_set_equals_the_per_worker_products(q):
+    p, dims, shares, results = pipeline(q)
+    packed = compute_all(list(shares))
+    assert isinstance(packed, list) and len(packed) == len(results)
+    for r1, r2 in zip(results, packed):
+        assert (r1.worker_id, r1.order, r1.point) == (r2.worker_id, r2.order, r2.point)
+        assert np.array_equal(r1.product, r2.product)
+    assert bytes(wire.dump_results(p, dims, packed)) == bytes(wire.dump_results(p, dims, results))
+
+
+def test_dumping_a_loaded_set_hands_back_the_loaded_bytes():
+    p, dims, shares, results = pipeline(101)
+    for dump, load, objs in [
+        (wire.dump_shares, wire.load_shares, shares),
+        (wire.dump_results, wire.load_results, results),
+    ]:
+        data = bytes(dump(p, dims, objs))
+        params, dims2, loaded = load(data)
+        again = dump(params, dims2, loaded)
+        assert again == data
+        as_bytes = [np.frombuffer(blob, dtype=np.uint8) for blob in (again, data)]
+        assert np.shares_memory(*as_bytes)
+
+
+@pytest.mark.parametrize("count", [0, 1])
+def test_zero_and_one_record_result_blobs_round_trip_through_sets(count):
+    p, dims, _, results = pipeline(101)
+    down = bytes(wire.dump_results(p, dims, results[:count]))
+    params, dims2, loaded = wire.load_results(down)
+    assert isinstance(loaded, wire.ResultSet) and len(loaded) == count
+    assert [res.product.shape for res in loaded] == [(2, 2)] * count
+    for r1, r2 in zip(results[:count], loaded):
+        assert (r1.worker_id, r1.order, r1.point) == (r2.worker_id, r2.order, r2.point)
+        assert np.array_equal(r1.product, r2.product)
+    assert wire.dump_results(params, dims2, loaded) == down
+
+
+def test_results_are_born_in_their_blob():
+    # Many small records: the per-worker scratch of compute_all stays
+    # below the slack, while a second copy of the products would not.
+    p = SchemeParams(K=2, L=2, T=1, m=2, N=40, q=101)
+    rng = np.random.default_rng(3)
+    dims = (32, 8, 32)
+    a = p.field.random_matrix(rng, 32, 8)
+    b = p.field.random_matrix(rng, 8, 32)
+    shares = encode(p, a, b, rng).shares
+    payload = len(wire.dump_results(p, dims, compute_all(shares)))
+    slack = 64 * 1024
+    assert payload > 2 * slack
+    held = []  # keeps the dumped bytes alive through the measurement
+    fresh = _peak_bytes(lambda: held.append(wire.dump_results(p, dims, compute_all(shares))))
+    assert fresh <= payload + slack
+    results = compute_all(shares)
+    assert _peak_bytes(lambda: wire.dump_results(p, dims, results)) <= slack
 
 # sha256 of the share blob, the result blob and the little-endian decoded
 # product of one fixed-seed pipeline, recorded before the kernel's limb
