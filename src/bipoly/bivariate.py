@@ -11,6 +11,7 @@ the interpolation system are both taken.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -54,6 +55,13 @@ class SchemeParams:
     q: int
 
     def __post_init__(self):
+        # Each field is an integer: Python's, numpy's or any other index type.
+        for name in ("K", "L", "T", "m", "N", "q"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ParameterError(f"{name} must be an integer, got {value!r}") from None
         for name in ("K", "L", "m", "N"):
             if getattr(self, name) < 1:
                 raise ParameterError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -158,20 +166,25 @@ def _power_table(bases: Sequence[int], top: int, field: PrimeField) -> np.ndarra
     return out
 
 
-def share_monomials_a(params: SchemeParams) -> list[tuple[int, int]]:
-    """Columns of the left-matrix generator: x^0 .. x^(K+T-1)."""
-    return [(k, 0) for k in range(params.K + params.T)]
+def generators(
+    points: Sequence[EvalPoint], K: int, L: int, T: int, m: int, field: PrimeField
+) -> tuple[np.ndarray, np.ndarray]:
+    """The left- and right-matrix generators of the masked polynomials at `points`.
 
-
-def share_monomials_b(params: SchemeParams) -> list[tuple[int, int]]:
-    """Columns of the right-matrix generator.
-
-    y^0 .. y^(L-1) for the partitions, then x^(K+t) y^j for the masks
-    S[t][j], matching the row order of stack_coefficients_b.
+    gen_a has one row per point, over the columns x^0 .. x^(K+T-1): the
+    K partitions, then the T masks R[t].  gen_b has one row per (point,
+    order), order < m, point by point, over the columns y^0 .. y^(L-1)
+    for the partitions, then x^(K+t) y^j for the masks S[t][j].  These
+    are the row orders of stack_coefficients_a and stack_coefficients_b,
+    so each generator times its stacked coefficients gives the shares.
     """
-    return [(0, j) for j in range(params.L)] + [
-        (params.K + t, j) for t in range(params.T) for j in range(params.m)
-    ]
+    columns_a = [(k, 0) for k in range(K + T)]
+    columns_b = [(0, j) for j in range(L)] + [(K + t, j) for t in range(T) for j in range(m)]
+    gen_a = derivative_matrix([(pt, 0) for pt in points], columns_a, field)
+    gen_b = derivative_matrix(
+        [(pt, order) for pt in points for order in range(m)], columns_b, field
+    )
+    return gen_a, gen_b
 
 
 def _stack(blocks: Sequence[np.ndarray], what: str, field: PrimeField) -> np.ndarray:
@@ -226,8 +239,10 @@ def eval_coded_a(
     masks on x^K .. x^(K+T-1).
     """
     coeffs = stack_coefficients_a(params, parts_a, masks_r)
-    gen = derivative_matrix([(EvalPoint(x, 0), 0)], share_monomials_a(params), params.field)
-    return mat_mul_mod(gen, coeffs, params.q).reshape(parts_a[0].shape)
+    gen_a, _ = generators(
+        [EvalPoint(x, 0)], params.K, params.L, params.T, params.m, params.field
+    )
+    return mat_mul_mod(gen_a, coeffs, params.q).reshape(parts_a[0].shape)
 
 
 def eval_coded_b_derivative(
@@ -249,8 +264,8 @@ def eval_coded_b_derivative(
             f"derivative order {order} outside [0, {params.m - 1}]"
         )
     coeffs = stack_coefficients_b(params, parts_b, masks_s)
-    gen = derivative_matrix([(point, order)], share_monomials_b(params), params.field)
-    return mat_mul_mod(gen, coeffs, params.q).reshape(parts_b[0].shape)
+    _, gen_b = generators([point], params.K, params.L, params.T, params.m, params.field)
+    return mat_mul_mod(gen_b[order : order + 1], coeffs, params.q).reshape(parts_b[0].shape)
 
 
 def derivative_row(

@@ -116,10 +116,10 @@ class PrimeField:
         return hash(("PrimeField", self.q))
 
     def inv(self, a: int) -> int:
-        """Multiplicative inverse via Fermat exponentiation."""
+        """Multiplicative inverse, by Python's modular pow."""
         if a % self.q == 0:
             raise ZeroInverseError("zero has no multiplicative inverse")
-        return pow(a, self.q - 2, self.q)
+        return pow(a, -1, self.q)
 
     # -- array plumbing --------------------------------------------------
 
@@ -164,13 +164,9 @@ class PrimeField:
         return mat_mul_mod(a, b, self.q, out=out)
 
     def solve_linear(self, m: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
-        """Solve m @ x = rhs by Gauss-Jordan elimination.
+        """Solve m @ x = rhs by Gauss-Jordan elimination (see _eliminate).
 
-        Returns the unique solution, or None when m is singular.  The
-        pivot is the first nonzero entry of each column; in an exact
-        field any nonzero pivot is as good as any other.  Once column c
-        is eliminated it is a unit vector and the pivot row is zero left
-        of c, so each row update touches only the live columns c onwards.
+        Returns the unique solution, or None when m is singular.
         """
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatchError(f"coefficient matrix {m.shape} is not square")
@@ -180,29 +176,27 @@ class PrimeField:
             )
         n = m.shape[0]
         aug = np.concatenate([self.asarray(m), self.asarray(rhs)], axis=1)
-        for col in range(n):
-            pivots = np.nonzero(aug[col:, col])[0]
-            if pivots.size == 0:
-                return None
-            p = col + int(pivots[0])
-            if p != col:
-                aug[[col, p]] = aug[[p, col]]
-            live = aug[:, col:]
-            live[col] = mul_mod(live[col], self.inv(int(live[col, 0])), self.q)
-            factors = live[:, :1].copy()
-            factors[col] = 0
-            live[...] = sub_mul_mod(live, factors, live[col : col + 1], self.q)
-        return aug[:, n:]
+        return aug[:, n:] if self._eliminate(aug, n) == n else None
 
     def rank(self, m: np.ndarray) -> int:
-        """Rank over F_q via row elimination with column skipping.
-
-        Rows from the current one down are zero left of the current
-        column, so each update touches only the live columns.
-        """
+        """Rank over F_q: the pivot count of a Gauss-Jordan elimination."""
         a = self.asarray(m)
-        rows, cols = a.shape
-        r = 0
+        if a.ndim != 2:
+            raise DimensionMismatchError(f"rank needs a 2-D matrix, got shape {a.shape}")
+        return self._eliminate(a, a.shape[1])
+
+    def _eliminate(self, a: np.ndarray, cols: int) -> int:
+        """Gauss-Jordan on the first `cols` columns of a, in place; the pivot count.
+
+        The pivot is the first nonzero entry of a column at or below the
+        next pivot row; in an exact field any nonzero pivot is as good as
+        any other.  A column without one is skipped.  The pivot row is
+        scaled to 1 and cleared from every other row, so the pivot
+        columns end as unit vectors.  Rows from the pivot row down are
+        zero left of the current column, so each row update touches only
+        the live columns from it onwards.
+        """
+        rows, r = a.shape[0], 0
         for col in range(cols):
             if r == rows:
                 break
@@ -212,9 +206,11 @@ class PrimeField:
             p = r + int(pivots[0])
             if p != r:
                 a[[r, p]] = a[[p, r]]
-            live = a[r:, col:]
-            live[0] = mul_mod(live[0], self.inv(int(live[0, 0])), self.q)
-            live[1:] = sub_mul_mod(live[1:], live[1:, :1], live[:1], self.q)
+            live = a[:, col:]
+            live[r] = mul_mod(live[r], self.inv(int(live[r, 0])), self.q)
+            factors = live[:, :1].copy()
+            factors[r] = 0
+            live[...] = sub_mul_mod(live, factors, live[r : r + 1], self.q)
             r += 1
         return r
 

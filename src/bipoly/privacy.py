@@ -36,14 +36,14 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .bivariate import EvalPoint, derivative_matrix
+from .bivariate import EvalPoint, generators
 from .errors import (
     DuplicatePointsError,
     ParameterError,
     TooLargeToEnumerateError,
 )
 from .fieldcore import prime_field
-from .scheme import WorkerShare
+from .wire import WorkerShare
 
 # Hard cap on exhaustive enumeration: q**(2 + T + T*m) states.
 _ENUM_LIMIT = 20_000_000
@@ -96,19 +96,16 @@ def mask_matrices(
 
     Left masks ride on x^(K+t); right mask (t, j) rides on x^(K+t) y^j,
     so its order-o derivative coefficient is fall(j, o) x^(K+t) y^(j-o).
-    Both are generator matrices of bivariate.derivative_matrix.
+    Both are the mask columns of encode's generators at the coalition's
+    points (bivariate.generators): the A side past its K partition
+    columns, and the whole B side when it has no partition columns (L = 0).
     """
     field = prime_field(q)
     _validate_points(points, T)
-    ma = derivative_matrix(
-        [(pt, 0) for pt in points], [(K + t, 0) for t in range(T)], field
-    )
-    mb = derivative_matrix(
-        [(pt, o) for pt in points for o in range(m)],
-        [(K + t, j) for t in range(T) for j in range(m)],
-        field,
-    )
-    return MaskMatrices(a_coeffs=ma, b_coeffs=mb)
+    if K < 0 or m < 0:
+        raise ParameterError(f"K and m must be >= 0, got K={K}, m={m}")
+    gen_a, gen_b = generators(points, K, 0, T, m, field)
+    return MaskMatrices(a_coeffs=gen_a[:, K:], b_coeffs=gen_b)
 
 
 def perfect_privacy_check(

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -23,8 +23,7 @@ from .bivariate import (
     SchemeParams,
     build_support,
     derivative_matrix,
-    share_monomials_a,
-    share_monomials_b,
+    generators,
     stack_coefficients_a,
     stack_coefficients_b,
 )
@@ -43,30 +42,9 @@ from .errors import (
     ResponseContractError,
 )
 from .fieldcore import mat_mul_mod, prime_field
-
-if TYPE_CHECKING:
-    from .wire import ResultSet, ShareSet
-
-
-@dataclass(frozen=True)
-class WorkerShare:
-    """Everything one worker receives: A(x_i) plus m derivative shares of B."""
-
-    worker_id: int
-    point: EvalPoint
-    q: int
-    share_a: np.ndarray
-    shares_b: tuple[np.ndarray, ...]
-
-
-@dataclass(frozen=True)
-class PartialResult:
-    """One completed sub-task: the product for a (worker, derivative order)."""
-
-    worker_id: int
-    order: int
-    point: EvalPoint
-    product: np.ndarray
+# The share and result records live with their wire layout; scheme
+# re-exports them as part of its API.
+from .wire import PartialResult, ResultSet, ShareSet, WorkerShare, result_set, share_set
 
 
 @dataclass(frozen=True)
@@ -268,16 +246,9 @@ def encode(
     # call per side for all N workers, written straight into the share
     # records of the wire blob, so each share is a read-only view of its
     # worker's record.
-    from .wire import share_set  # wire imports this module's share types
-
     coeffs_a = stack_coefficients_a(params, parts_a, masks_r)
     coeffs_b = stack_coefficients_b(params, parts_b, masks_s)
-    gen_a = derivative_matrix([(pt, 0) for pt in points], share_monomials_a(params), field)
-    gen_b = derivative_matrix(
-        [(pt, order) for pt in points for order in range(params.m)],
-        share_monomials_b(params),
-        field,
-    )
+    gen_a, gen_b = generators(points, params.K, params.L, params.T, params.m, field)
     shares, side_a, side_b = share_set(params, (a.shape[0], s, b.shape[1]), points)
     mat_mul_mod(gen_a, coeffs_a, params.q, out=side_a)
     mat_mul_mod(gen_b, coeffs_b, params.q, out=side_b)
@@ -312,8 +283,6 @@ def compute_all(shares: Sequence[WorkerShare]) -> ResultSet | list[PartialResult
     of one result blob, and the blob's ResultSet is returned; a share
     list of any other kind gives a list of per-worker products.
     """
-    from .wire import ShareSet, result_set  # wire imports this module's share types
-
     if isinstance(shares, ShareSet):
         results, products = result_set(shares)
         field = shares.params.field

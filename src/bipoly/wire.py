@@ -42,18 +42,39 @@ ever.  Slicing a set gives a plain list.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .bivariate import EvalPoint, SchemeParams
 from .errors import WireFormatError
-from .scheme import PartialResult, WorkerShare
 
 MAGIC = int.from_bytes(b"FQPCODE1", "little")
 VERSION = 1
 
 _HEADER_WORDS = 11
+
+
+@dataclass(frozen=True)
+class WorkerShare:
+    """Everything one worker receives: A(x_i) plus m derivative shares of B."""
+
+    worker_id: int
+    point: EvalPoint
+    q: int
+    share_a: np.ndarray
+    shares_b: tuple[np.ndarray, ...]
+
+
+@dataclass(frozen=True)
+class PartialResult:
+    """One completed sub-task: the product for a (worker, derivative order)."""
+
+    worker_id: int
+    order: int
+    point: EvalPoint
+    product: np.ndarray
 
 
 class _Record(NamedTuple):

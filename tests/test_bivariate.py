@@ -9,6 +9,7 @@ from bipoly.bivariate import (
     eval_coded_a,
     eval_coded_b_derivative,
     falling_factorial,
+    generators,
     support_degree_sum,
     xi,
 )
@@ -45,6 +46,24 @@ def test_params_reject_small_field():
 def test_params_reject_composite_q():
     with pytest.raises(Exception):
         params(1, 1, 0, 1, q=15)
+
+
+@pytest.mark.parametrize(
+    "name, value", [("K", 2.5), ("L", "3"), ("T", None), ("m", 1.0), ("N", 4.0), ("q", 101.0),
+                    ("q", "101")],
+)
+def test_params_name_a_field_that_is_not_an_integer(name, value):
+    fields = dict(K=2, L=3, T=1, m=1, N=4, q=101)
+    fields[name] = value
+    with pytest.raises(ParameterError, match=f"^{name} must be an integer"):
+        SchemeParams(**fields)
+
+
+def test_params_take_numpy_integers_as_python_ints():
+    p = SchemeParams(*(np.int64(v) for v in (2, 3, 1, 2)), N=np.uint8(4), q=np.int32(101))
+    assert p == params(2, 3, 1, 2, N=4, q=101)
+    assert all(type(v) is int for v in (p.K, p.L, p.T, p.m, p.N, p.q))
+    assert recovery_threshold(p) == 13
 
 
 # -- monomial support -----------------------------------------------------
@@ -233,3 +252,33 @@ def test_support_degree_sum_values():
     assert support_degree_sum(build_support(params(1, 1, 0, 1))) == 0
     assert support_degree_sum(build_support(params(2, 2, 1, 2))) == 25
     assert support_degree_sum(build_support(params(5, 5, 3, 1))) == 297
+
+
+# -- generators ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("q", [101, Q31, 4611686018427387847])
+def test_generator_rows_are_the_one_point_evaluations(q):
+    # Row i of gen_a evaluates the left polynomial at x_i, and row
+    # (i, order) of gen_b the order-th y-derivative of the right one.
+    p = params(2, 3, 2, 2, N=3, q=q)
+    f = p.field
+    rng = np.random.default_rng(q % 97)
+    parts_a = [f.random_matrix(rng, 2, 3) for _ in range(p.K)]
+    masks_r = [f.random_matrix(rng, 2, 3) for _ in range(p.T)]
+    parts_b = [f.random_matrix(rng, 3, 2) for _ in range(p.L)]
+    masks_s = [[f.random_matrix(rng, 3, 2) for _ in range(p.m)] for _ in range(p.T)]
+    points = [EvalPoint(int(rng.integers(q)), int(rng.integers(q))) for _ in range(p.N)]
+    gen_a, gen_b = generators(points, p.K, p.L, p.T, p.m, f)
+    assert gen_a.shape == (p.N, p.K + p.T)
+    assert gen_b.shape == (p.N * p.m, p.L + p.T * p.m)
+    stacked_a = parts_a + masks_r
+    stacked_b = parts_b + [s for row in masks_s for s in row]
+    for i, pt in enumerate(points):
+        want = sum(int(g) * blk.astype(object) for g, blk in zip(gen_a[i], stacked_a)) % q
+        assert np.array_equal(eval_coded_a(p, parts_a, masks_r, pt.x), want)
+        for order in range(p.m):
+            row = gen_b[i * p.m + order]
+            want = sum(int(g) * blk.astype(object) for g, blk in zip(row, stacked_b)) % q
+            got = eval_coded_b_derivative(p, parts_b, masks_s, pt, order)
+            assert np.array_equal(got, want)

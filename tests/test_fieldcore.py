@@ -85,6 +85,15 @@ def test_scalar_inv():
         f.inv(0)
 
 
+def test_inverse_equals_fermat_at_the_largest_prime():
+    f = prime_field(BIG_PRIME)
+    rng = np.random.default_rng(17)
+    values = [int(v) for v in rng.integers(1, BIG_PRIME, size=2000)]
+    assert [f.inv(a) for a in values] == [pow(a, BIG_PRIME - 2, BIG_PRIME) for a in values]
+    with pytest.raises(ZeroInverseError, match="zero has no multiplicative inverse"):
+        f.inv(BIG_PRIME)
+
+
 @pytest.mark.parametrize("q", [101, 2**31 - 1, BIG_PRIME])
 def test_inverse_property(q):
     f = prime_field(q)
@@ -174,6 +183,12 @@ def test_rank_row_permutation_invariance():
         m[3] = m[1]
         perm = rng.permutation(5)
         assert f.rank(m) == f.rank(m[perm])
+
+
+@pytest.mark.parametrize("shape", [(), (4,), (2, 3, 3)])
+def test_rank_rejects_an_array_that_is_not_2d(shape):
+    with pytest.raises(DimensionMismatchError, match="2-D"):
+        prime_field(101).rank(np.zeros(shape, dtype=np.int64))
 
 
 def test_batched_nonsingular_matches_rank():

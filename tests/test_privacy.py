@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from bipoly.bivariate import EvalPoint, SchemeParams
+from bipoly.bivariate import EvalPoint, SchemeParams, generators
 from bipoly.errors import (
     DuplicatePointsError,
     ParameterError,
@@ -118,6 +118,30 @@ def test_coefficients_match_encode_differences():
         for i in range(2):
             delta = (view.observations_b[i][2] - base_view.observations_b[i][2]) % q
             assert delta[0, 0] == mats.b_coeffs[i, t]
+
+
+@pytest.mark.parametrize("q", [101, Q31, 4611686018427387847])
+def test_mask_matrices_are_slices_of_encodes_generators(q):
+    # The coalition's mask matrices are the mask columns of the very
+    # generators that encode's points give, on the coalition's rows.
+    p = SchemeParams(K=3, L=4, T=2, m=3, N=9, q=q)
+    rng = np.random.default_rng(q % 1009)
+    a = p.field.random_matrix(rng, 6, 4)
+    b = p.field.random_matrix(rng, 4, 8)
+    points = [sh.point for sh in encode(p, a, b, rng).shares]
+    gen_a, gen_b = generators(points, p.K, p.L, p.T, p.m, p.field)
+    for _ in range(10):
+        rows = [int(i) for i in rng.choice(p.N, size=p.T, replace=False)]
+        mats = mask_matrices([points[i] for i in rows], p.K, p.T, p.m, q)
+        orders = [i * p.m + o for i in rows for o in range(p.m)]
+        assert np.array_equal(mats.a_coeffs, gen_a[rows][:, p.K :])
+        assert np.array_equal(mats.b_coeffs, gen_b[orders][:, p.L :])
+
+
+@pytest.mark.parametrize("K, m", [(-1, 1), (1, -1)])
+def test_mask_matrices_reject_negative_dimensions(K, m):
+    with pytest.raises(ParameterError, match=">= 0"):
+        mask_matrices([EvalPoint(2, 3)], K=K, T=1, m=m, q=101)
 
 
 def test_collusion_view_rejects_oversized_subsets():

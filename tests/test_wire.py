@@ -34,6 +34,22 @@ def shares_equal(s1, s2):
     )
 
 
+def test_share_and_result_records_live_in_wire():
+    # wire sits below scheme: it defines the records, scheme and the
+    # package re-export them, and wire imports nothing from scheme.
+    import ast
+    import inspect
+
+    import bipoly
+    from bipoly import scheme
+
+    assert bipoly.WorkerShare is scheme.WorkerShare is wire.WorkerShare
+    assert bipoly.PartialResult is scheme.PartialResult is wire.PartialResult
+    tree = ast.parse(inspect.getsource(wire))
+    imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert "scheme" not in imported and "bipoly.scheme" not in imported
+
+
 @pytest.mark.parametrize("q", [101, 2**31 - 1, BIG_PRIME])
 def test_share_round_trip(q):
     p, dims, shares, _ = pipeline(q)
