@@ -102,10 +102,6 @@ class MonomialSupport:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def index_map(self) -> dict[tuple[int, int], int]:
-        """Column index of each monomial in interpolation-system order."""
-        return {pair: i for i, pair in enumerate(self.entries)}
-
 
 def build_support(params: SchemeParams) -> MonomialSupport:
     """Monomial support of the coded product for the given parameters.

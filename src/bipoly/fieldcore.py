@@ -124,9 +124,13 @@ class PrimeField:
     # -- array plumbing --------------------------------------------------
 
     def asarray(self, values) -> np.ndarray:
-        """Canonical int64 field array from any integer array-like."""
+        """Canonical int64 field array from any integer array-like.
+
+        Signed, unsigned, bool and object (Python int) arrays are accepted;
+        any other dtype, such as float or str, is refused, not parsed.
+        """
         arr = np.asarray(values)
-        if arr.dtype.kind in "fc":
+        if arr.dtype.kind not in "biuO":
             raise BipolyError(
                 f"field elements must be integers, got {arr.dtype} input"
             )
@@ -157,6 +161,7 @@ class PrimeField:
         self, a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None
     ) -> np.ndarray:
         """Exact matrix product over F_q, into `out` as mat_mul_mod takes it."""
+        a, b = np.asarray(a), np.asarray(b)
         if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
             raise DimensionMismatchError(
                 f"cannot multiply shapes {a.shape} x {b.shape}"

@@ -259,15 +259,14 @@ def exhaustive_mi_check(
     m: int,
     q: int,
     zero_r_masks: bool = False,
-    zero_s_masks: bool = False,
 ) -> float:
     """Exact mutual information (bits) between scalar inputs and the view.
 
     Enumerates every (A, B, masks) tuple for a single-partition instance
     (scalar A and B) and counts the joint distribution of ((A, B),
     coalition view).  Returns exactly 0.0 when the view is independent
-    of the inputs.  The zero_*_masks switches pin a mask family to zero
-    to instrument deliberately broken encodings.
+    of the inputs.  zero_r_masks pins the left masks to zero to
+    instrument a deliberately broken encoding.
     """
     prime_field(q)
     if K != 1:
@@ -291,8 +290,6 @@ def exhaustive_mi_check(
     digits = idx // q ** np.arange(n_mask, dtype=np.int64)[:, None] % q
     if zero_r_masks:
         digits[:T] = 0
-    if zero_s_masks:
-        digits[T:] = 0
     # Mask contribution to each view component; components are ordered
     # A-view per worker first, then (worker, order) derivative views.
     parts = np.concatenate(

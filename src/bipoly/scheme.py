@@ -117,6 +117,12 @@ def partition(
     params: SchemeParams, a: np.ndarray, b: np.ndarray
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Row blocks of A (height r/K) and column blocks of B (width c/L)."""
+    a, b = np.asarray(a), np.asarray(b)
+    for name, operand in (("A", a), ("B", b)):
+        if operand.ndim != 2:
+            raise DimensionMismatchError(
+                f"{name} must be a 2-D matrix, got shape {operand.shape}"
+            )
     r, s = a.shape
     s2, c = b.shape
     if s != s2:
@@ -249,7 +255,7 @@ def encode(
     coeffs_a = stack_coefficients_a(params, parts_a, masks_r)
     coeffs_b = stack_coefficients_b(params, parts_b, masks_s)
     gen_a, gen_b = generators(points, params.K, params.L, params.T, params.m, field)
-    shares, side_a, side_b = share_set(params, (a.shape[0], s, b.shape[1]), points)
+    shares, side_a, side_b = share_set(params, (params.K * br, s, params.L * bc), points)
     mat_mul_mod(gen_a, coeffs_a, params.q, out=side_a)
     mat_mul_mod(gen_b, coeffs_b, params.q, out=side_b)
     return Encoding(shares, list(masks_r), [list(row) for row in masks_s])
@@ -276,36 +282,18 @@ def worker_compute(share: WorkerShare, order: int) -> PartialResult:
 def compute_all(shares: Sequence[WorkerShare]) -> ResultSet | list[PartialResult]:
     """Run every worker through all m sub-tasks in increasing order.
 
-    Each worker's m sub-tasks run as one product of its A share with its
-    B shares side by side, so the A share is split once; the m results
-    are column blocks of that product, equal to worker_compute's.  For a
-    ShareSet the product is written straight into the worker's m records
-    of one result blob, and the blob's ResultSet is returned; a share
-    list of any other kind gives a list of per-worker products.
+    For a ShareSet each worker's m sub-tasks run as one product of its A
+    share with its B shares side by side, so the A share is split once;
+    the product is written straight into the worker's m records of one
+    result blob, and the blob's ResultSet is returned.  A share list of
+    any other kind gives the list of worker_compute's results.
     """
-    if isinstance(shares, ShareSet):
-        results, products = result_set(shares)
-        field = shares.params.field
-        for share, out in zip(shares, products):
-            field.mat_mul(share.share_a, np.concatenate(share.shares_b, axis=1), out=out)
-        return results
-    results = []
-    for share in shares:
-        shapes = [np.shape(blk) for blk in share.shares_b]
-        if not shapes:
-            continue
-        if any(len(shape) != 2 for shape in shapes) or len({sh[0] for sh in shapes}) > 1:
-            raise DimensionMismatchError(
-                f"worker {share.worker_id} holds B shares of shapes {shapes}; "
-                "expected 2-D blocks of one height"
-            )
-        field = prime_field(share.q)
-        product = field.mat_mul(share.share_a, np.concatenate(share.shares_b, axis=1))
-        at = 0
-        for order, (_, width) in enumerate(shapes):
-            block = product[:, at : at + width]
-            results.append(PartialResult(share.worker_id, order, share.point, block))
-            at += width
+    if not isinstance(shares, ShareSet):
+        return [worker_compute(sh, o) for sh in shares for o in range(len(sh.shares_b))]
+    results, products = result_set(shares)
+    field = shares.params.field
+    for share, out in zip(shares, products):
+        field.mat_mul(share.share_a, np.concatenate(share.shares_b, axis=1), out=out)
     return results
 
 
@@ -339,14 +327,19 @@ def validate_prefix(results: Sequence[PartialResult], m: int | None = None) -> N
 def validate_responses(results: Sequence[PartialResult], m: int | None = None) -> None:
     """Check the whole response contract before a decode.
 
-    On top of validate_prefix: each worker reports one evaluation point
-    across all its results, and every product has the same 2-D shape.
+    On top of validate_prefix: each worker reports one EvalPoint across
+    all its results, and every product has the same 2-D shape.
     Distinct workers that share a point are left to the solve, which
     finds the system singular.
     """
     validate_prefix(results, m)
     points: dict[int, EvalPoint] = {}
     for res in results:
+        if not isinstance(res.point, EvalPoint):
+            raise ResponseContractError(
+                f"worker {res.worker_id} order {res.order} reports point {res.point!r}; "
+                "expected an EvalPoint"
+            )
         first = points.setdefault(res.worker_id, res.point)
         if first != res.point:
             raise ResponseContractError(
@@ -373,11 +366,7 @@ def interpolation_matrix(
     return derivative_matrix(point_orders, support.entries, params.field)
 
 
-def decode(
-    params: SchemeParams,
-    results: Sequence[PartialResult],
-    support: MonomialSupport | None = None,
-) -> DecodedProduct:
+def decode(params: SchemeParams, results: Sequence[PartialResult]) -> DecodedProduct:
     """Recover A @ B from at least recovery_threshold() in-order results.
 
     Exactly the first R_th responses in (worker_id, order) order are
@@ -393,18 +382,16 @@ def decode(
         )
     validate_responses(results, params.m)
     chosen = sort_responses(results)[:r_th]
-    if support is None:
-        support = build_support(params)
     field = params.field
     mat = interpolation_matrix(
-        params, support, [(res.point, res.order) for res in chosen]
+        params, build_support(params), [(res.point, res.order) for res in chosen]
     )
     # Only the K*L coefficients of x^k y^l, k < K and l < L, are wanted,
     # so solve for just those rows of the inverse: row j of inv(mat) is
     # column j of inv(mat.T), and mat is singular exactly when mat.T is.
-    index = support.index_map()
-    wanted = [index[(k, l)] for k in range(params.K) for l in range(params.L)]
-    rows = field.solve_linear(mat.T, field.identity(r_th)[:, wanted])
+    # The support's lexicographic order puts them first, as k * L + l:
+    # every x-degree below K carries all L y-degrees.
+    rows = field.solve_linear(mat.T, field.identity(r_th)[:, : params.K * params.L])
     if rows is None:
         raise DecodeSingularError(
             "interpolation matrix is singular for these evaluation points; "

@@ -23,20 +23,21 @@ u64 range, and a dump refuses an id or coordinate outside it.  Masks
 are deliberately absent: serialized bytes model exactly what the
 workers and master exchange.  The layout is bit-exact across platforms.
 
-No dump copies a payload word that a set already holds.  A set
+Every blob is built one way, by one constructor that writes its
+header and head words once and hands back its set together with the
+writable words of its records; the code that made the set fills those
+words once, and no blob is written again once a set holds it.  A set
 (`ShareSet`, `ResultSet`) is a read-only sequence of `WorkerShare` or
 `PartialResult` over one blob: it carries the blob, its params and its
 dims, and its blocks are read-only int64 views of the records.
-`scheme.encode` writes the header and head words of a share blob once,
-writes its generator products straight into the records and returns
-the blob's `ShareSet`; `scheme.compute_all` of a `ShareSet` does the
-same for a result blob and returns its `ResultSet`; the loaders return
-sets over the bytes they are given.  A dump of a set under the set's
-own params and dims checks every field word and hands out its blob
-without a copy; any other list is packed into a new blob, each word
-written once.  No blob is written again once a set holds it.  Both
-dumps return a read-only byte `memoryview`, holding the same bytes as
-ever.  Slicing a set gives a plain list.
+`scheme.encode` writes its generator products straight into a share
+blob, `scheme.compute_all` of a `ShareSet` its worker products into a
+result blob, and the packer copies the blocks of any other list into a
+new blob; the loaders return sets over the bytes they are given.  A
+dump takes a set under its own params and dims as it is and packs any
+other list, then ends in the set's `blob()`, which checks every field
+word and hands out the blob without a copy, as a read-only byte
+`memoryview`.  Slicing a set gives a plain list.
 """
 
 from __future__ import annotations
@@ -121,21 +122,6 @@ def _layout(params: SchemeParams, dims: tuple[int, int, int]) -> dict[str, _Reco
     }
 
 
-def _allocate(
-    params: SchemeParams, dims: tuple[int, int, int], kind: str, count: int
-) -> tuple[_Record, np.ndarray, np.ndarray]:
-    """Layout, u64 words and (count, width) record view of an unfilled blob."""
-    rec = _layout(params, dims)[kind]
-    words = np.empty(_HEADER_WORDS + count * rec.width, dtype="<u8")
-    return rec, words, words[_HEADER_WORDS:].reshape(count, rec.width)
-
-
-def _write_header(words: np.ndarray, params: SchemeParams, dims: tuple[int, int, int]) -> None:
-    words[:_HEADER_WORDS] = (
-        MAGIC, VERSION, params.q, params.K, params.L, params.T, params.m, params.N, *dims
-    )
-
-
 def _check_field_words(body: np.ndarray, rec: _Record, kind: str, q: int) -> None:
     """x, y and every block word of every record are field elements below q."""
     # A negative entry wraps above 2**63, so this one test also refuses it.
@@ -144,10 +130,6 @@ def _check_field_words(body: np.ndarray, rec: _Record, kind: str, q: int) -> Non
         raise WireFormatError(
             f"{kind} payload holds a word >= q={q}; field words must be < q"
         )
-
-
-def _bytes(words: np.ndarray) -> memoryview:
-    return memoryview(words).toreadonly().cast("B")
 
 
 class _BlobSet(Sequence):
@@ -189,7 +171,7 @@ class _BlobSet(Sequence):
     def blob(self) -> memoryview:
         """The blob's read-only bytes, once every field word is checked below q."""
         _check_field_words(self._body, self._rec, self.kind, self.params.q)
-        return _bytes(self._words)
+        return memoryview(self._words).toreadonly().cast("B")
 
 
 class ShareSet(_BlobSet):
@@ -214,6 +196,29 @@ class ResultSet(_BlobSet):
             yield PartialResult(worker_id, order, EvalPoint(x, y), product)
 
 
+def _new_set(
+    params: SchemeParams, dims: tuple[int, int, int], kind: str, heads
+) -> tuple[_BlobSet, list[np.ndarray]]:
+    """A new blob's set, its header and head words written once, and its writable regions.
+
+    `heads` holds one row of u64 head words per record, in the layout's
+    head order (ids, x, y); their count is the record count.  Returns
+    the blob's set and the writable int64 words of each record group,
+    shape (records, blocks, h * w), for the caller to fill once.
+    """
+    rec = _layout(params, dims)[kind]
+    # Explicit shapes: -1 cannot be inferred from zero records.
+    heads = np.asarray(heads, dtype=np.uint64).reshape(len(heads), len(rec.heads))
+    words = np.empty(_HEADER_WORDS + len(heads) * rec.width, dtype="<u8")
+    words[:_HEADER_WORDS] = (
+        MAGIC, VERSION, params.q, params.K, params.L, params.T, params.m, params.N, *dims
+    )
+    body = words[_HEADER_WORDS:].reshape(len(heads), rec.width)
+    body[:, : len(rec.heads)] = heads
+    made = (ShareSet if kind == "share" else ResultSet)(params, dims, words)
+    return made, rec.regions(body.view(np.int64))
+
+
 def share_set(
     params: SchemeParams, dims: tuple[int, int, int], points: Sequence[EvalPoint]
 ) -> tuple[ShareSet, np.ndarray, np.ndarray]:
@@ -224,82 +229,62 @@ def share_set(
     records, shapes (N, 1, r/K * s) and (N, m, s * c/L), for encode's
     generator products.
     """
-    rec, words, body = _allocate(params, dims, "share", params.N)
-    _write_header(words, params, dims)
-    body[:, : len(rec.heads)] = [(i, x, y) for i, (x, y) in enumerate(points, 1)]
-    side_a, side_b = rec.regions(body.view(np.int64))
-    return ShareSet(params, dims, words), side_a, side_b
+    heads = [(i, x, y) for i, (x, y) in enumerate(points, 1)]
+    shares, (side_a, side_b) = _new_set(params, dims, "share", heads)
+    return shares, side_a, side_b
 
 
 def result_set(shares: ShareSet) -> tuple[ResultSet, np.ndarray]:
     """A result blob for compute_all: m records per share, worker by worker.
 
-    The header is the share blob's, and record (i, order) holds worker
-    i's id, order and point.  Returns the blob's set and the writable
-    products, shape (N, r/K, m, c/L): entry i takes worker i's m products
-    side by side, as mat_mul_mod's (rows, blocks, width) destination.
+    Record (i, order) holds worker i's id, order and point.  Returns the
+    blob's set and the writable products, shape (N, r/K, m, c/L): entry
+    i takes worker i's m products side by side, as mat_mul_mod's (rows,
+    blocks, width) destination.
     """
-    params, dims = shares.params, shares.dims
-    n, m = len(shares), params.m
-    rec, words, body = _allocate(params, dims, "result", n * m)
-    words[:_HEADER_WORDS] = shares._words[:_HEADER_WORDS]
-    heads = body[:, : len(rec.heads)].reshape(n, m, len(rec.heads))
+    n, m = len(shares), shares.params.m
     # Share heads (worker_id, x, y) into result heads (worker_id, order, x, y).
-    heads[:, :, [0, 2, 3]] = shares._body[:, None, : len(shares._rec.heads)]
+    heads = np.empty((n, m, 4), dtype=np.uint64)
+    heads[:, :, [0, 2, 3]] = shares._body[:, None, :3]
     heads[:, :, 1] = np.arange(m)
-    (products,) = rec.regions(body.view(np.int64))
-    br, bc = rec.groups[0][2]
-    products = products.reshape(n, m, br, bc).transpose(0, 2, 1, 3)
-    return ResultSet(params, dims, words), products
-
-
-def _seal(
-    params: SchemeParams, dims: tuple[int, int, int], kind: str, words: np.ndarray,
-    records: list,
-) -> memoryview:
-    """Write the header and head words, check the field words; the blob's bytes.
-
-    Each id, x and y must fit a u64 word, and every word after the ids
-    must be below q.  Returns a read-only byte view of `words`.
-    """
-    rec = _layout(params, dims)[kind]
-    heads = []
-    for ids, point, _, what in records:
-        head = (*ids, point.x, point.y)
-        for name, value in zip(rec.heads, head):
-            if not 0 <= int(value) < 1 << 64:
-                raise WireFormatError(f"{what}: {name}={value} does not fit a u64 word")
-        heads.append([int(value) for value in head])
-    _write_header(words, params, dims)
-    body = words[_HEADER_WORDS:].reshape(len(records), rec.width)
-    # Explicit shapes: -1 cannot be inferred from zero records.
-    body[:, : len(rec.heads)] = np.array(heads, dtype=np.uint64).reshape(
-        len(records), len(rec.heads)
-    )
-    _check_field_words(body, rec, kind, params.q)
-    return _bytes(words)
+    heads = heads.reshape(n * m, 4)
+    results, (products,) = _new_set(shares.params, shares.dims, "result", heads)
+    br, bc = results._rec.groups[0][2]
+    return results, products.reshape(n, m, br, bc).transpose(0, 2, 1, 3)
 
 
 def _pack(
     params: SchemeParams, dims: tuple[int, int, int], kind: str, records: list
-) -> memoryview:
-    """Header plus one record per (ids, point, blocks, label), each word written once."""
-    rec, words, body = _allocate(params, dims, kind, len(records))
-    for _, _, blocks, what in records:
+) -> _BlobSet:
+    """A new blob's set of one record per (ids, point, blocks, label), each word written once.
+
+    Each id, x and y must fit a u64 word, and each block must have the
+    shape that dims give it.
+    """
+    rec = _layout(params, dims)[kind]
+    heads = []
+    for ids, point, blocks, what in records:
         for blk, (name, shape) in zip(blocks, rec.blocks):
             if np.shape(blk) != shape:
                 raise WireFormatError(
                     f"{what} {name} has block shape {np.shape(blk)}, but dims give {shape}"
                 )
+        head = (*ids, point.x, point.y)
+        for name, value in zip(rec.heads, head):
+            if not 0 <= int(value) < 1 << 64:
+                raise WireFormatError(f"{what}: {name}={value} does not fit a u64 word")
+        heads.append([int(value) for value in head])
+    packed, regions = _new_set(params, dims, kind, heads)
+    # u64 views, so a block of any integer dtype is written bit for bit.
     views = [
-        region[:, j].reshape(len(records), h, w)
-        for region, (_, count, (h, w)) in zip(rec.regions(body), rec.groups)
+        region[:, j].view(np.uint64).reshape(len(records), h, w)
+        for region, (_, count, (h, w)) in zip(regions, rec.groups)
         for j in range(count)
     ]
     for i, (_, _, blocks, _) in enumerate(records):
         for view, blk in zip(views, blocks):
             view[i] = blk
-    return _seal(params, dims, kind, words, records)
+    return packed
 
 
 def _unpack(data: bytes, kind: str) -> tuple[SchemeParams, tuple[int, int, int], np.ndarray]:
@@ -351,7 +336,7 @@ def dump_shares(
     return _pack(params, dims, "share", [
         ((sh.worker_id,), sh.point, (sh.share_a, *sh.shares_b), f"worker {sh.worker_id}")
         for sh in shares
-    ])
+    ]).blob()
 
 
 def load_shares(data: bytes) -> tuple[SchemeParams, tuple[int, int, int], ShareSet]:
@@ -377,7 +362,7 @@ def dump_results(
         ((res.worker_id, res.order), res.point, (res.product,),
          f"worker {res.worker_id} order {res.order}")
         for res in results
-    ])
+    ]).blob()
 
 
 def load_results(data: bytes) -> tuple[SchemeParams, tuple[int, int, int], ResultSet]:

@@ -93,7 +93,12 @@ def test_support_size_equals_recovery_threshold():
             for T in range(0, 3):
                 for m in range(1, L + 1):
                     p = params(K, L, T, m)
-                    assert len(build_support(p)) == recovery_threshold(p)
+                    support = build_support(p).entries
+                    assert len(support) == recovery_threshold(p)
+                    # Decode solves for the first K*L columns: x^k y^l, k < K, l < L.
+                    assert support[: K * L] == tuple(
+                        (k, l) for k in range(K) for l in range(L)
+                    )
 
 
 # -- polynomial evaluation ------------------------------------------------

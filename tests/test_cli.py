@@ -225,6 +225,32 @@ GOLDEN_STDOUT = {
         2,
         "f113337a6dca96788b361299ea97c9dcc5abe204446afd91cf071d9abd1138cc",
     ),
+    "demo-small": (
+        SMALL_DEMO + ["--seed", "3"],
+        0,
+        "5b248dceb7c88ec9cb82470a09ac6f7ba4a30258196cbc56161e684196aedc1f",
+    ),
+    "demo-default": (
+        ["demo", "--seed", "3"],
+        0,
+        "3f874b935350bf5696ed9586d94a827145f48ff46a87d8df8585b1e33891ea7a",
+    ),
+    "thresholds": (
+        ["thresholds"],
+        0,
+        "2d9230b9812180cd95eb9546bbab7938ff3bd9aac63440d23e5efd56e67d13be",
+    ),
+    "privacy": (
+        ["privacy", "--sweeps", "2", "--seed", "5"],
+        0,
+        "2c24dbf94254a24fa7e81b89d91bc4e079dfb0da2fcf47d6230c88628df9f7e4",
+    ),
+}
+
+# sha256 of the files `demo --seed 3 --dump PREFIX` writes, at the defaults.
+GOLDEN_DUMPS = {
+    "shares": "3f35e1479b9dc8ee458a417eb5613a7a767cec52f93f311c9161b73859d436f7",
+    "results": "246f02b0448ec83e320cdf307b68c04b3302cfc0d11367f735a7cc47d3b39add",
 }
 
 
@@ -234,3 +260,12 @@ def test_stdout_matches_golden_hash(name, capsys):
     code, out, _ = run(args, capsys)
     assert code == want_code
     assert hashlib.sha256(out.encode()).hexdigest() == want_hash
+
+
+def test_demo_dumps_match_golden_hashes(tmp_path, capsys):
+    prefix = str(tmp_path / "run")
+    code, _, _ = run(["demo", "--seed", "3", "--dump", prefix], capsys)
+    assert code == 0
+    for kind, want_hash in GOLDEN_DUMPS.items():
+        with open(f"{prefix}.{kind}.bin", "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == want_hash, kind

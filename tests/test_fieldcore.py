@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from bipoly.errors import (
+    BipolyError,
     DimensionMismatchError,
     NonPrimeModulusError,
     ZeroInverseError,
@@ -437,6 +438,23 @@ def test_asarray_returns_a_fresh_array_reduced_only_where_needed():
     assert f.asarray(wide).tolist() == [[0, 100], [0, 3]]
     assert f.asarray(np.array([[True, False]])).tolist() == [[1, 0]]
     assert f.asarray(np.zeros((0, 3), dtype=np.int64)).shape == (0, 3)
+
+
+def test_asarray_names_a_dtype_that_is_not_an_integer():
+    f = prime_field(101)
+    assert f.asarray(np.array([[2**64 - 1]], dtype=np.uint64)).tolist() == [[2**64 % 101 - 1]]
+    assert f.asarray(np.array([[2**70, -1]], dtype=object)).tolist() == [[2**70 % 101, 100]]
+    for bad in (np.array([["12"]]), np.array([[b"12"]]), np.array([[1.0]]), np.array([[1j]])):
+        with pytest.raises(BipolyError, match=f"must be integers, got {bad.dtype} input"):
+            f.asarray(bad)
+
+
+def test_mat_mul_takes_list_operands_and_names_a_bad_shape():
+    f = prime_field(101)
+    assert f.mat_mul([[1, 2]], [[3], [100]]).tolist() == [[(3 + 200) % 101]]
+    for a, b in (([[1, 2]], [[3]]), ([1, 2], [[3], [4]])):
+        with pytest.raises(DimensionMismatchError, match="cannot multiply shapes"):
+            f.mat_mul(a, b)
 
 
 @pytest.mark.parametrize("q", OUT_PRIMES)

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -16,6 +17,7 @@ from bipoly.errors import (
     NotEnoughResponsesError,
     OrderViolationError,
     ParameterError,
+    ResponseContractError,
 )
 from bipoly.fieldcore import prime_field
 from bipoly.scheme import (
@@ -86,6 +88,30 @@ def test_partition_rejects_indivisible():
     f = p.field
     with pytest.raises(IndivisibleDimensionsError):
         partition(p, f.zeros(4, 2), f.zeros(2, 2))
+
+
+@pytest.mark.parametrize("side", ["A", "B"])
+@pytest.mark.parametrize("shape", [(16,), (2, 2, 4)])
+def test_encode_names_an_operand_that_is_not_2d(side, shape):
+    p = make_params(2, 2, 1, 2, 8, q=101)
+    good, bad = p.field.zeros(4, 4), np.zeros(shape, dtype=np.int64)
+    a, b = (bad, good) if side == "A" else (good, bad)
+    with pytest.raises(DimensionMismatchError, match=rf"^{side} must be a 2-D matrix, got shape "
+                       + re.escape(str(shape))):
+        encode(p, a, b, np.random.default_rng(0))
+
+
+def test_encode_takes_list_operands_and_refuses_string_ones():
+    p = make_params(2, 2, 1, 2, 8, q=101)
+    f = p.field
+    rng = np.random.default_rng(4)
+    a, b = f.random_matrix(rng, 4, 6), f.random_matrix(rng, 6, 4)
+    listed = encode(p, a.tolist(), b.tolist(), np.random.default_rng(1)).shares
+    ref = encode(p, a, b, np.random.default_rng(1)).shares
+    assert bytes(listed.blob()) == bytes(ref.blob())
+    assert np.array_equal(decode(p, compute_all(listed)).assembled, f.mat_mul(a, b))
+    with pytest.raises(BipolyError, match="must be integers, got <U"):
+        encode(p, a.astype(str), b, np.random.default_rng(1))
 
 
 # -- evaluation points -------------------------------------------------------
@@ -302,6 +328,20 @@ def test_compute_all_equals_per_order_worker_compute(q):
         compute_all([replace(sh, shares_b=(sh.shares_b[0], sh.shares_b[1][:-1]))])
 
 
+def test_worker_compute_takes_list_blocks():
+    p = make_params(2, 2, 1, 2, 6, q=101)
+    _, _, enc, results, _ = run_pipeline(p, 4, 5, 4)
+    sh = enc.shares[2]
+    listed = replace(
+        sh, share_a=sh.share_a.tolist(), shares_b=tuple(blk.tolist() for blk in sh.shares_b)
+    )
+    want = [res.product.tolist() for res in results if res.worker_id == sh.worker_id]
+    assert [worker_compute(listed, order).product.tolist() for order in range(p.m)] == want
+    assert [res.product.tolist() for res in compute_all([listed])] == want
+    with pytest.raises(DimensionMismatchError, match="cannot multiply shapes"):
+        worker_compute(replace(listed, shares_b=(listed.shares_b[0][:-1],)), 0)
+
+
 def _share_a_by_python_ints(p, parts_a, masks_r, x):
     blocks = list(parts_a) + list(masks_r)
     return sum(blk.astype(object) * pow(x, e, p.q) for e, blk in enumerate(blocks)) % p.q
@@ -504,6 +544,16 @@ def test_decode_rejects_two_points_for_one_worker():
     assert bad[1].worker_id == bad[0].worker_id
     bad[1] = replace(bad[1], point=moved)
     with pytest.raises(BipolyError, match="one point per worker"):
+        decode(p, bad)
+
+
+def test_decode_names_a_point_that_is_not_an_eval_point():
+    p = make_params(2, 2, 1, 2, 6, q=Q31)
+    _, _, _, results, _ = run_pipeline(p, 4, 4, 4)
+    bad = list(results)
+    bad[3] = replace(bad[3], point=tuple(bad[3].point))
+    assert (bad[3].worker_id, bad[3].order) == (2, 1)
+    with pytest.raises(ResponseContractError, match="^worker 2 order 1 reports point .*EvalPoint"):
         decode(p, bad)
 
 
