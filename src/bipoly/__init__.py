@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 
 from .bivariate import (
     EvalPoint,
-    MonomialSupport,
     SchemeParams,
     build_support,
     support_degree_sum,
@@ -67,7 +66,6 @@ __all__ = [
     "EvalPoint",
     "GaspParams",
     "MaskMatrices",
-    "MonomialSupport",
     "PartialResult",
     "PrimeField",
     "PrivacyCheck",

@@ -93,18 +93,8 @@ class SchemeParams:
         return prime_field(self.q)
 
 
-@dataclass(frozen=True)
-class MonomialSupport:
-    """Sorted (x-degree, y-degree) pairs carried by the product polynomial."""
-
-    entries: tuple[tuple[int, int], ...]
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
-def build_support(params: SchemeParams) -> MonomialSupport:
-    """Monomial support of the coded product for the given parameters.
+def build_support(params: SchemeParams) -> tuple[tuple[int, int], ...]:
+    """Monomial support of the coded product: its sorted (dx, dy) pairs.
 
     Rectangle [0, K+T-1] x [0, L-1] union strip [K+T, 2K+2T-2] x [0, m-1],
     sorted lexicographically so decoding is bit-reproducible.
@@ -116,7 +106,7 @@ def build_support(params: SchemeParams) -> MonomialSupport:
         for dx in range(k + t, 2 * k + 2 * t - 1)
         for dy in range(m)
     }
-    return MonomialSupport(tuple(sorted(entries)))
+    return tuple(sorted(entries))
 
 
 def derivative_matrix(
@@ -265,10 +255,10 @@ def eval_coded_b_derivative(
 
 
 def derivative_row(
-    support: MonomialSupport, point: EvalPoint, order: int, field: PrimeField
+    support: Sequence[tuple[int, int]], point: EvalPoint, order: int, field: PrimeField
 ) -> np.ndarray:
     """Row of order-th y-derivative monomial evaluations at one point."""
-    return derivative_matrix([(point, order)], support.entries, field)[0]
+    return derivative_matrix([(point, order)], support, field)[0]
 
 
 def xi(a: int, b: int) -> int:
@@ -278,6 +268,6 @@ def xi(a: int, b: int) -> int:
     return a * (a + 1) // 2 * (b + 1) + b * (b + 1) // 2 * (a + 1)
 
 
-def support_degree_sum(support: MonomialSupport) -> int:
+def support_degree_sum(support: Sequence[tuple[int, int]]) -> int:
     """Sum of dx + dy over the support, by direct enumeration."""
-    return sum(dx + dy for dx, dy in support.entries)
+    return sum(dx + dy for dx, dy in support)

@@ -173,6 +173,7 @@ class PrimeField:
 
         Returns the unique solution, or None when m is singular.
         """
+        m, rhs = self.asarray(m), self.asarray(rhs)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatchError(f"coefficient matrix {m.shape} is not square")
         if rhs.ndim != 2 or rhs.shape[0] != m.shape[0]:
@@ -180,7 +181,7 @@ class PrimeField:
                 f"right-hand side {rhs.shape} does not match system size {m.shape[0]}"
             )
         n = m.shape[0]
-        aug = np.concatenate([self.asarray(m), self.asarray(rhs)], axis=1)
+        aug = np.concatenate([m, rhs], axis=1)
         return aug[:, n:] if self._eliminate(aug, n) == n else None
 
     def rank(self, m: np.ndarray) -> int:
@@ -189,6 +190,14 @@ class PrimeField:
         if a.ndim != 2:
             raise DimensionMismatchError(f"rank needs a 2-D matrix, got shape {a.shape}")
         return self._eliminate(a, a.shape[1])
+
+    def batched_nonsingular(self, mats: np.ndarray) -> np.ndarray:
+        """Non-singularity of each matrix of a (B, n, n) stack: a full pivot count."""
+        a = self.asarray(mats)
+        if a.ndim != 3 or a.shape[1] != a.shape[2]:
+            raise DimensionMismatchError(f"expected a (B, n, n) stack, got {a.shape}")
+        n = a.shape[2]
+        return np.array([self._eliminate(mat, n) == n for mat in a], dtype=bool)
 
     def _eliminate(self, a: np.ndarray, cols: int) -> int:
         """Gauss-Jordan on the first `cols` columns of a, in place; the pivot count.
@@ -218,39 +227,6 @@ class PrimeField:
             live[...] = sub_mul_mod(live, factors, live[r : r + 1], self.q)
             r += 1
         return r
-
-    def batched_nonsingular(self, mats: np.ndarray) -> np.ndarray:
-        """Non-singularity of a stack of square matrices, shape (B, n, n).
-
-        Vectorised over the batch axis.  Uses cross-multiplication
-        instead of pivot normalisation so no batched inversions are
-        needed.
-        """
-        a = self.asarray(mats)
-        if a.ndim != 3 or a.shape[1] != a.shape[2]:
-            raise DimensionMismatchError(f"expected a (B, n, n) stack, got {a.shape}")
-        batch, n, _ = a.shape
-        if n == 0:
-            return np.ones(batch, dtype=bool)
-        singular = np.zeros(batch, dtype=bool)
-        bidx = np.arange(batch)
-        for col in range(n):
-            colvals = a[:, col:, col]
-            nonzero = colvals != 0
-            singular |= ~nonzero.any(axis=1)
-            piv_row = np.argmax(nonzero, axis=1) + col
-            swap = a[bidx, piv_row].copy()
-            a[bidx, piv_row] = a[:, col]
-            a[:, col] = swap
-            if col + 1 == n:
-                break
-            piv = a[:, col, col]
-            below = a[:, col + 1 :, :]
-            scaled = mul_mod(piv[:, None, None], below, self.q)
-            a[:, col + 1 :, :] = sub_mul_mod(
-                scaled, below[:, :, col][:, :, None], a[:, col : col + 1, :], self.q
-            )
-        return ~singular
 
 
 def mul_mod(a, b, q: int) -> np.ndarray:

@@ -19,7 +19,6 @@ import numpy as np
 
 from .bivariate import (
     EvalPoint,
-    MonomialSupport,
     SchemeParams,
     build_support,
     derivative_matrix,
@@ -113,11 +112,21 @@ def _check_divisible(params: SchemeParams, r: int, c: int) -> None:
         raise IndivisibleDimensionsError(f"L={params.L} does not divide c={c}")
 
 
+def _array(value, what: str) -> np.ndarray:
+    """np.asarray of an operand or product; a ragged nested list names `what`."""
+    try:
+        return np.asarray(value)
+    except ValueError:
+        raise DimensionMismatchError(
+            f"{what} is a ragged nested sequence, not a rectangular array"
+        ) from None
+
+
 def partition(
     params: SchemeParams, a: np.ndarray, b: np.ndarray
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Row blocks of A (height r/K) and column blocks of B (width c/L)."""
-    a, b = np.asarray(a), np.asarray(b)
+    a, b = _array(a, "A"), _array(b, "B")
     for name, operand in (("A", a), ("B", b)):
         if operand.ndim != 2:
             raise DimensionMismatchError(
@@ -267,6 +276,12 @@ def worker_compute(share: WorkerShare, order: int) -> PartialResult:
     Workers run orders 0, 1, ..., m-1 in sequence; drivers enforce that
     ordering, and decode rejects response sets that break it.
     """
+    try:
+        order = operator.index(order)
+    except TypeError:
+        raise InvalidOrderError(
+            f"order {order!r} for worker {share.worker_id} is not an integer"
+        ) from None
     if not 0 <= order < len(share.shares_b):
         raise InvalidOrderError(
             f"order {order} outside [0, {len(share.shares_b) - 1}] "
@@ -346,7 +361,10 @@ def validate_responses(results: Sequence[PartialResult], m: int | None = None) -
                 f"worker {res.worker_id} reports points {tuple(first)} and "
                 f"{tuple(res.point)}; expected one point per worker"
             )
-    shapes = {np.shape(res.product) for res in results}
+    shapes = {
+        _array(res.product, f"worker {res.worker_id} order {res.order} product").shape
+        for res in results
+    }
     if any(len(shape) != 2 for shape in shapes):
         raise DimensionMismatchError(
             f"result products must be 2-D, got shapes {sorted(shapes)}"
@@ -359,11 +377,11 @@ def validate_responses(results: Sequence[PartialResult], m: int | None = None) -
 
 def interpolation_matrix(
     params: SchemeParams,
-    support: MonomialSupport,
+    support: Sequence[tuple[int, int]],
     point_orders: Sequence[tuple[EvalPoint, int]],
 ) -> np.ndarray:
     """Stack derivative-evaluation rows for the given (point, order) pairs."""
-    return derivative_matrix(point_orders, support.entries, params.field)
+    return derivative_matrix(point_orders, support, params.field)
 
 
 def decode(params: SchemeParams, results: Sequence[PartialResult]) -> DecodedProduct:

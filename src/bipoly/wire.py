@@ -258,8 +258,8 @@ def _pack(
 ) -> _BlobSet:
     """A new blob's set of one record per (ids, point, blocks, label), each word written once.
 
-    Each id, x and y must fit a u64 word, and each block must have the
-    shape that dims give it.
+    Each point must be an EvalPoint, each id, x and y must fit a u64
+    word, and each block must have the shape that dims give it.
     """
     rec = _layout(params, dims)[kind]
     heads = []
@@ -269,7 +269,9 @@ def _pack(
                 raise WireFormatError(
                     f"{what} {name} has block shape {np.shape(blk)}, but dims give {shape}"
                 )
-        head = (*ids, point.x, point.y)
+        if not isinstance(point, EvalPoint):
+            raise WireFormatError(f"{what} has point {point!r}; expected an EvalPoint")
+        head = (*ids, *point)
         for name, value in zip(rec.heads, head):
             if not 0 <= int(value) < 1 << 64:
                 raise WireFormatError(f"{what}: {name}={value} does not fit a u64 word")

@@ -130,7 +130,7 @@ def test_c3_singular_rate_bound():
         xp[:, :, e] = xp[:, :, e - 1] * xs % q
     yp[:, :, 1] = ys % q
     mats = np.zeros((draws, r_th, r_th), dtype=np.int64)
-    for col, (dx, dy) in enumerate(support.entries):
+    for col, (dx, dy) in enumerate(support):
         mats[:, 0::2, col] = xp[:, :, dx] * yp[:, :, dy] % q
         if dy >= 1:
             coeff = falling_factorial(dy, 1) % q

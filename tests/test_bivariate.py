@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import bipoly
 from bipoly.bivariate import (
     EvalPoint,
     SchemeParams,
@@ -72,11 +73,17 @@ def test_params_take_numpy_integers_as_python_ints():
 def test_support_sizes():
     assert len(build_support(params(5, 5, 3, 1))) == 47
     assert len(build_support(params(2, 2, 1, 2))) == 10
-    assert build_support(params(1, 1, 0, 1)).entries == ((0, 0),)
+    assert build_support(params(1, 1, 0, 1)) == ((0, 0),)
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in bipoly.__all__ if not hasattr(bipoly, name)]
+    assert missing == []
+    assert type(build_support(params(2, 2, 1, 2))) is tuple
 
 
 def test_support_exact_entries_small_case():
-    got = build_support(params(2, 2, 1, 2)).entries
+    got = build_support(params(2, 2, 1, 2))
     want = tuple(
         sorted(
             {(dx, dy) for dx in range(3) for dy in range(2)}
@@ -93,7 +100,7 @@ def test_support_size_equals_recovery_threshold():
             for T in range(0, 3):
                 for m in range(1, L + 1):
                     p = params(K, L, T, m)
-                    support = build_support(p).entries
+                    support = build_support(p)
                     assert len(support) == recovery_threshold(p)
                     # Decode solves for the first K*L columns: x^k y^l, k < K, l < L.
                     assert support[: K * L] == tuple(
@@ -175,7 +182,7 @@ def test_derivative_row_order0_is_monomial_row():
     f = p.field
     pt = EvalPoint(5, 9)
     row = derivative_row(sup, pt, 0, f)
-    want = [pow(5, dx, 101) * pow(9, dy, 101) % 101 for dx, dy in sup.entries]
+    want = [pow(5, dx, 101) * pow(9, dy, 101) % 101 for dx, dy in sup]
     assert list(row) == want
 
 
@@ -194,7 +201,7 @@ def test_derivative_row_order1_pattern():
         (3, 1): pow(x, 3, 101),
         (4, 1): pow(x, 4, 101),
     }
-    for col, pair in enumerate(sup.entries):
+    for col, pair in enumerate(sup):
         assert row[col] == expect[pair]
 
 
@@ -224,7 +231,7 @@ def test_derivative_row_contracts_like_direct_evaluation():
     f = p.field
     rng = np.random.default_rng(7)
     for _ in range(100):
-        coeffs = {pair: int(rng.integers(101)) for pair in sup.entries}
+        coeffs = {pair: int(rng.integers(101)) for pair in sup}
         grid = [[0] * 3 for _ in range(2 * 3 + 2 * 1 - 1)]
         for (dx, dy), v in coeffs.items():
             grid[dx][dy] = v
@@ -232,7 +239,7 @@ def test_derivative_row_contracts_like_direct_evaluation():
         order = int(rng.integers(2))
         row = derivative_row(sup, pt, order, f)
         contracted = sum(
-            int(row[i]) * coeffs[pair] for i, pair in enumerate(sup.entries)
+            int(row[i]) * coeffs[pair] for i, pair in enumerate(sup)
         ) % 101
         assert contracted == naive_derivative_eval(grid, pt.x, pt.y, order, 101)
 

@@ -219,6 +219,25 @@ def test_batched_nonsingular_matches_rank_at_big_prime():
     assert flags[:6].tolist() == [True, False, False, False, False, True]
 
 
+def test_batched_nonsingular_of_empty_stacks():
+    f = prime_field(101)
+    none = f.batched_nonsingular(np.zeros((0, 3, 3), dtype=np.int64))
+    assert none.dtype == bool and none.shape == (0,)
+    # A 0 x 0 matrix has full rank 0, so it is non-singular.
+    assert f.batched_nonsingular(np.zeros((4, 0, 0), dtype=np.int64)).tolist() == [True] * 4
+
+
+def test_solve_linear_takes_list_operands():
+    f = prime_field(101)
+    m, rhs = [[2, 1], [1, 1]], [[3, 0], [2, 1]]
+    assert f.solve_linear(m, rhs).tolist() == [[1, 100], [1, 2]]
+    assert f.solve_linear([[1, 1], [1, 1]], rhs) is None
+    with pytest.raises(DimensionMismatchError, match="not square"):
+        f.solve_linear([[1, 2, 3]], [[1]])
+    with pytest.raises(DimensionMismatchError, match="does not match system size 2"):
+        f.solve_linear(m, [[1, 2, 3]])
+
+
 def test_canonicalisation():
     f = prime_field(7)
     arr = f.asarray([[-1, 8], [14, 6]])

@@ -114,6 +114,15 @@ def test_encode_takes_list_operands_and_refuses_string_ones():
         encode(p, a.astype(str), b, np.random.default_rng(1))
 
 
+@pytest.mark.parametrize("side", ["A", "B"])
+def test_encode_names_a_ragged_operand(side):
+    p = make_params(2, 2, 1, 2, 8, q=101)
+    good, ragged = p.field.zeros(4, 4), [[1, 2, 3, 4], [1, 2], [1, 2, 3, 4], [1, 2, 3, 4]]
+    a, b = (ragged, good) if side == "A" else (good, ragged)
+    with pytest.raises(DimensionMismatchError, match=f"^{side} is a ragged nested sequence"):
+        encode(p, a, b, np.random.default_rng(0))
+
+
 # -- evaluation points -------------------------------------------------------
 
 
@@ -263,6 +272,16 @@ def test_worker_compute_products_and_order_guard():
     assert np.array_equal(res.product, f.mat_mul(sh.share_a, sh.shares_b[0]))
     with pytest.raises(InvalidOrderError):
         worker_compute(sh, 2)
+
+
+@pytest.mark.parametrize("order", [1.5, "0", None])
+def test_worker_compute_names_an_order_that_is_not_an_integer(order):
+    p = make_params(2, 2, 1, 2, 5, q=101)
+    _, _, enc, _, _ = run_pipeline(p, 4, 3, 4)
+    with pytest.raises(InvalidOrderError, match=f"^order {re.escape(repr(order))} for worker 1 "
+                       "is not an integer"):
+        worker_compute(enc.shares[0], order)
+    assert type(worker_compute(enc.shares[0], np.int64(1)).order) is int
 
 
 def test_worker_product_matches_polynomial_oracle():
@@ -418,7 +437,7 @@ def test_interpolation_matrix_shapes_and_pattern():
     # even rows are order-0 monomial evaluations, odd rows their y-derivative
     for i, res in enumerate(ordered):
         x, y = res.point
-        for col, (dx, dy) in enumerate(sup.entries):
+        for col, (dx, dy) in enumerate(sup):
             if res.order == 0:
                 want = pow(x, dx, 101) * pow(y, dy, 101) % 101
             elif dy < 1:
@@ -533,6 +552,16 @@ def test_decode_rejects_products_that_are_not_2d(flatten):
     _, _, _, results, _ = run_pipeline(p, 4, 4, 4)
     bad = [replace(res, product=flatten(res.product)) for res in results]
     with pytest.raises(DimensionMismatchError, match="result products must be 2-D"):
+        decode(p, bad)
+
+
+def test_decode_names_a_ragged_product():
+    p = make_params(2, 2, 1, 2, 6, q=Q31)
+    _, _, _, results, _ = run_pipeline(p, 4, 4, 4)
+    bad = list(results)
+    bad[3] = replace(bad[3], product=[[1, 2], [3]])
+    with pytest.raises(DimensionMismatchError,
+                       match="^worker 2 order 1 product is a ragged nested sequence"):
         decode(p, bad)
 
 

@@ -137,6 +137,19 @@ def test_dump_results_checks_blocks_against_dims():
         wire.dump_results(p, dims, bad)
 
 
+def test_dumps_name_a_point_that_is_not_an_eval_point():
+    p, dims, shares, results = pipeline(101)
+    bad_shares = list(shares)
+    bad_shares[2] = replace(bad_shares[2], point=(1, 2))
+    with pytest.raises(WireFormatError, match=r"^worker 3 has point \(1, 2\); expected an EvalPoint"):
+        wire.dump_shares(p, dims, bad_shares)
+    bad_results = list(results)
+    bad_results[3] = replace(bad_results[3], point=(1, 2))
+    with pytest.raises(WireFormatError,
+                       match=r"^worker 2 order 1 has point \(1, 2\); expected an EvalPoint"):
+        wire.dump_results(p, dims, bad_results)
+
+
 def _with_word(blob, index, value):
     words = np.frombuffer(blob, dtype="<u8").copy()
     words[index] = value
