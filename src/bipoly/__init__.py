@@ -38,10 +38,8 @@ from .scheme import (
 )
 from .baseline import GaspParams, gasp_max_m, gasp_rth, gasp_upload_cost_bits
 from .privacy import (
-    CollusionView,
     MaskMatrices,
     PrivacyCheck,
-    collusion_view,
     exhaustive_mi_check,
     mask_matrices,
     perfect_privacy_check,
@@ -53,14 +51,12 @@ from .simulator import (
     WorkerClass,
     budget_sweep,
     expected_time,
-    sample_task_time,
     simulate_once,
 )
 
 __all__ = [
     "__version__",
     "BipolyError",
-    "CollusionView",
     "DecodedProduct",
     "Encoding",
     "EvalPoint",
@@ -76,7 +72,6 @@ __all__ = [
     "WorkerShare",
     "build_support",
     "budget_sweep",
-    "collusion_view",
     "compute_all",
     "decode",
     "encode",
@@ -95,7 +90,6 @@ __all__ = [
     "random_prefix_subset",
     "recovery_threshold",
     "sample_points",
-    "sample_task_time",
     "simulate_once",
     "support_degree_sum",
     "sweep_collusion_subsets",

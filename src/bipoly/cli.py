@@ -220,8 +220,6 @@ def load_sim_config(path: str) -> dict:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = load_sim_config(args.config)
     trials = args.trials if args.trials is not None else cfg["trials"]
-    if trials < 1:
-        raise ParameterError(f"trials must be >= 1, got {trials}")
     seed = _resolve_seed(args.seed, fallback=cfg["seed"] if cfg["seed"] is not None else 0)
     schemes = [PROPOSED, GASP] if args.scheme == "both" else [args.scheme]
     rows = budget_sweep(

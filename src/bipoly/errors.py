@@ -54,10 +54,6 @@ class DecodeSingularError(BipolyError):
     """The interpolation matrix is singular for the drawn evaluation points."""
 
 
-class NonIntegerBoundError(BipolyError):
-    """The closed-form decode-failure bound did not evaluate to an integer."""
-
-
 class BudgetTooSmallError(BipolyError):
     """An upload budget below two matrix partitions cannot host any scheme."""
 

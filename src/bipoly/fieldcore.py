@@ -127,10 +127,17 @@ class PrimeField:
         """Canonical int64 field array from any integer array-like.
 
         Signed, unsigned, bool and object (Python int) arrays are accepted;
-        any other dtype, such as float or str, is refused, not parsed.
+        any other dtype, such as float or str, an object entry that is not
+        an integer, and a ragged input are refused, not parsed.
         """
-        arr = np.asarray(values)
-        if arr.dtype.kind not in "biuO":
+        try:
+            arr = np.asarray(values)
+        except ValueError:
+            raise DimensionMismatchError("field elements must form a rectangular array") from None
+        integers = arr.dtype.kind in "biu" or (
+            arr.dtype == object and all(isinstance(v, (int, np.integer)) for v in arr.flat)
+        )
+        if not integers:
             raise BipolyError(
                 f"field elements must be integers, got {arr.dtype} input"
             )
@@ -160,8 +167,8 @@ class PrimeField:
     def mat_mul(
         self, a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None
     ) -> np.ndarray:
-        """Exact matrix product over F_q, into `out` as mat_mul_mod takes it."""
-        a, b = np.asarray(a), np.asarray(b)
+        """Exact product over F_q of the asarray'd operands, into `out` as mat_mul_mod takes it."""
+        a, b = self.asarray(a), self.asarray(b)
         if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
             raise DimensionMismatchError(
                 f"cannot multiply shapes {a.shape} x {b.shape}"

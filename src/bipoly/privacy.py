@@ -30,9 +30,8 @@ m <= L coupling.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -43,7 +42,6 @@ from .errors import (
     TooLargeToEnumerateError,
 )
 from .fieldcore import prime_field
-from .wire import WorkerShare
 
 # Hard cap on exhaustive enumeration: q**(2 + T + T*m) states.
 _ENUM_LIMIT = 20_000_000
@@ -71,15 +69,6 @@ class PrivacyCheck:
     rank_b: int
     failed_name: str | None = None
     witness: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
-class CollusionView:
-    """What a T-subset of workers sees: their points and raw shares."""
-
-    subset: tuple[int, ...]
-    observations_a: tuple[tuple[EvalPoint, np.ndarray], ...]
-    observations_b: tuple[tuple[EvalPoint, int, np.ndarray], ...]
 
 
 def _validate_points(points: Sequence[EvalPoint], t: int) -> None:
@@ -128,34 +117,6 @@ def perfect_privacy_check(
     return PrivacyCheck(True, rank_a, rank_b)
 
 
-def collusion_view(
-    shares: Sequence[WorkerShare], subset: Sequence[int], T: int
-) -> CollusionView:
-    """Assemble the raw view of a coalition from actual worker shares.
-
-    Coalitions larger than the tolerance T are outside the threat model
-    and rejected.
-    """
-    if len(subset) != T:
-        raise ParameterError(
-            f"coalition size {len(subset)} differs from tolerance T={T}"
-        )
-    if len(set(subset)) != len(subset):
-        raise DuplicatePointsError(f"coalition lists worker {subset} twice")
-    by_id = {sh.worker_id: sh for sh in shares}
-    missing = [wid for wid in subset if wid not in by_id]
-    if missing:
-        raise ParameterError(f"unknown worker ids in coalition: {missing}")
-    obs_a = []
-    obs_b = []
-    for wid in subset:
-        sh = by_id[wid]
-        obs_a.append((sh.point, sh.share_a))
-        for order, blk in enumerate(sh.shares_b):
-            obs_b.append((sh.point, order, blk))
-    return CollusionView(tuple(subset), tuple(obs_a), tuple(obs_b))
-
-
 @dataclass(frozen=True)
 class SweepReport:
     """Result of a privacy sweep over coalition subsets."""
@@ -186,30 +147,12 @@ def _combinations(n: int, t: int) -> np.ndarray:
     return sub
 
 
-def _validated_subsets(subsets: Iterable[Sequence[int]], n: int, t: int) -> np.ndarray:
-    """(count, t) index array of explicit coalitions (t >= 1), each checked."""
-    rows = []
-    for s in subsets:
-        try:
-            row = tuple(map(operator.index, s))
-        except TypeError:
-            row = ()
-        if len(row) != t or len(set(row)) != t or min(row) < 0 or max(row) >= n:
-            raise ParameterError(
-                f"each coalition must hold T={t} distinct worker indices "
-                f"in [0, {n}), got {s!r}"
-            )
-        rows.append(row)
-    return np.array(rows, dtype=np.intp).reshape(-1, t)
-
-
 def sweep_collusion_subsets(
     points: Sequence[EvalPoint],
     K: int,
     T: int,
     m: int,
     q: int,
-    subsets: Iterable[Sequence[int]] | None = None,
     max_failures: int = 20,
 ) -> SweepReport:
     """Check every T-subset of workers against the exact privacy criterion.
@@ -220,12 +163,12 @@ def sweep_collusion_subsets(
     blockdiag(W_i) * kron(a_coeffs, I_m) with each W_i upper triangular
     of diagonal 0!, 1!, ..., (m-1)!, all nonzero mod q iff q >= m.
 
-    Subsets index into `points` (0-based) and default to all C(N, T) in
+    Subsets index into `points` (0-based) and run over all C(N, T) in
     lexicographic order.  The report counts every subset checked and
     lists the first `max_failures` failing ones in enumeration order:
     exactly those perfect_privacy_check fails.  Works at any supported q.
     When all N residues already pass the criterion, so does every
-    subset, and the default sweep counts C(N, T) without enumerating.
+    subset, and the sweep counts C(N, T) without enumerating.
     """
     prime_field(q)
     if T < 0:
@@ -233,15 +176,12 @@ def sweep_collusion_subsets(
     if T == 0:
         return SweepReport(0, ())
     n = len(points)
-    if subsets is None:
-        residues = {pt.x % q for pt in points}
-        if len(residues) == n and (K == 0 or 0 not in residues) and q >= m:
-            return SweepReport(math.comb(n, T), ())
-        sub = _combinations(n, T)
-    else:
-        sub = _validated_subsets(subsets, n, T)
+    residues = [pt.x % q for pt in points]
+    if len(set(residues)) == n and (K == 0 or 0 not in residues) and q >= m:
+        return SweepReport(math.comb(n, T), ())
+    sub = _combinations(n, T)
     # xs[t] holds the residue of every coalition's t-th member.
-    xs = np.array([pt.x % q for pt in points], dtype=np.int64)[sub].T
+    xs = np.array(residues, dtype=np.int64)[sub].T
     ok = np.full(sub.shape[0], q >= m)
     for b in range(1, T):
         for a in range(b):

@@ -34,7 +34,6 @@ from .errors import (
     FieldTooSmallError,
     IndivisibleDimensionsError,
     InvalidOrderError,
-    NonIntegerBoundError,
     NotEnoughResponsesError,
     OrderViolationError,
     ParameterError,
@@ -70,13 +69,13 @@ def failure_bound_d(params: SchemeParams) -> int:
     """Closed-form degree bound d; decoding fails with probability <= d/q.
 
     Evaluated in exact integer arithmetic.  See support_degree_sum for
-    the enumeration oracle, which exceeds this expression by m*K.
+    the enumeration oracle, which exceeds this expression by m*K.  The
+    numerator is even: s*l*(s+l-2) is, and the first term is
+    m*(m+1)*(s+1) mod 2.
     """
     k, l, t, m = params.K, params.L, params.T, params.m
     s = k + t
     num = m * (3 * s * s + m * s - 8 * k - 6 * t - m + 3) + s * l * (k + l + t - 2)
-    if num % 2:
-        raise NonIntegerBoundError(f"bound numerator {num} is odd for {params}")
     return num // 2
 
 

@@ -64,23 +64,12 @@ class SimConfig:
                 f"scheme_rth, m and trials must be >= 1, got {self}"
             )
 
-    @property
-    def n_workers(self) -> int:
-        return sum(c.count for c in self.classes)
-
 
 @dataclass(frozen=True)
 class SimResult:
     mean_time: float
     std_error: float
-    completion_rate: float
     per_trial_times: np.ndarray | None = None
-
-
-def sample_task_time(lam: float, nu: float, rng: np.random.Generator) -> float:
-    """One shifted-exponential duration via inverse CDF on a uniform draw."""
-    u = rng.random()
-    return nu + -math.log1p(-u) / lam
 
 
 def _durations(
@@ -144,7 +133,6 @@ def _summary(times: np.ndarray, keep_times: bool = False) -> SimResult:
     return SimResult(
         mean_time=float(times.mean()),
         std_error=float(times.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0,
-        completion_rate=1.0,
         per_trial_times=times if keep_times else None,
     )
 

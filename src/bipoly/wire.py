@@ -253,22 +253,37 @@ def result_set(shares: ShareSet) -> tuple[ResultSet, np.ndarray]:
     return results, products.reshape(n, m, br, bc).transpose(0, 2, 1, 3)
 
 
+def _block(blk, shape: tuple[int, int], what: str) -> np.ndarray:
+    """blk as a bool or integer array of `shape` whose words fit u64; any other is named."""
+    try:
+        arr = np.asarray(blk)
+    except ValueError:
+        raise WireFormatError(f"{what} is a ragged nested sequence") from None
+    if arr.shape != shape:
+        raise WireFormatError(f"{what} has block shape {arr.shape}, but dims give {shape}")
+    if arr.dtype == object and all(
+        isinstance(v, (int, np.integer)) and 0 <= v < 1 << 64 for v in arr.flat
+    ):
+        arr = np.array(arr.tolist(), dtype=np.uint64).reshape(shape)
+    if arr.dtype.kind not in "biu":
+        raise WireFormatError(f"{what} holds {arr.dtype} entries, not integers in [0, 2**64)")
+    return arr
+
+
 def _pack(
     params: SchemeParams, dims: tuple[int, int, int], kind: str, records: list
 ) -> _BlobSet:
     """A new blob's set of one record per (ids, point, blocks, label), each word written once.
 
     Each point must be an EvalPoint, each id, x and y must fit a u64
-    word, and each block must have the shape that dims give it.
+    word, and each block must be integers of the shape that dims give it.
     """
     rec = _layout(params, dims)[kind]
-    heads = []
+    heads, checked = [], []
     for ids, point, blocks, what in records:
-        for blk, (name, shape) in zip(blocks, rec.blocks):
-            if np.shape(blk) != shape:
-                raise WireFormatError(
-                    f"{what} {name} has block shape {np.shape(blk)}, but dims give {shape}"
-                )
+        checked.append([
+            _block(blk, shape, f"{what} {name}") for blk, (name, shape) in zip(blocks, rec.blocks)
+        ])
         if not isinstance(point, EvalPoint):
             raise WireFormatError(f"{what} has point {point!r}; expected an EvalPoint")
         head = (*ids, *point)
@@ -283,7 +298,7 @@ def _pack(
         for region, (_, count, (h, w)) in zip(regions, rec.groups)
         for j in range(count)
     ]
-    for i, (_, _, blocks, _) in enumerate(records):
+    for i, blocks in enumerate(checked):
         for view, blk in zip(views, blocks):
             view[i] = blk
     return packed

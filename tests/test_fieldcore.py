@@ -19,6 +19,7 @@ from bipoly.fieldcore import (
 )
 
 BIG_PRIME = 4611686018427387847  # largest prime below 2**62
+Q31 = 2**31 - 1
 
 
 def naive_mat_mul(a, b, q):
@@ -463,9 +464,41 @@ def test_asarray_names_a_dtype_that_is_not_an_integer():
     f = prime_field(101)
     assert f.asarray(np.array([[2**64 - 1]], dtype=np.uint64)).tolist() == [[2**64 % 101 - 1]]
     assert f.asarray(np.array([[2**70, -1]], dtype=object)).tolist() == [[2**70 % 101, 100]]
-    for bad in (np.array([["12"]]), np.array([[b"12"]]), np.array([[1.0]]), np.array([[1j]])):
+    for bad in (np.array([["12"]]), np.array([[b"12"]]), np.array([[1.0]]), np.array([[1j]]),
+                np.array([[1.5, 2]], dtype=object)):
         with pytest.raises(BipolyError, match=f"must be integers, got {bad.dtype} input"):
             f.asarray(bad)
+
+
+def test_asarray_and_rank_name_a_ragged_input():
+    f = prime_field(101)
+    with pytest.raises(DimensionMismatchError, match="must form a rectangular array"):
+        f.asarray([[1, 2], [1]])
+    with pytest.raises(DimensionMismatchError, match="must form a rectangular array"):
+        f.rank([[1, 2], [1]])
+
+
+@pytest.mark.parametrize("q", [Q31, BIG_PRIME])
+def test_mat_mul_reduces_integer_operands_first(q):
+    # Non-canonical int64 words broke the kernel's exactness bound: at
+    # 2**31 - 1 this product came out as 2147475455, not 122880.
+    f = prime_field(q)
+    a = np.full((2, 240), 2**40, dtype=np.int64)
+    a[1, 0] = -3
+    b = np.ones((240, 2), dtype=np.int64)
+    want = [[2**40 * 240 % q] * 2, [(2**40 * 239 - 3) % q] * 2]
+    assert f.mat_mul(a, b).tolist() == want
+    assert f.mat_mul(b.T, np.array(a.T, dtype=object)).tolist() == [list(r) for r in zip(*want)]
+
+
+def test_mat_mul_refuses_operands_that_are_not_integers():
+    f = prime_field(101)
+    a, b = np.array([[1, 2]]), np.array([[3], [4]])
+    for bad in (a + 0.5, a.astype(float), a.astype(str)):
+        with pytest.raises(BipolyError, match="must be integers"):
+            f.mat_mul(bad, b)
+        with pytest.raises(BipolyError, match="must be integers"):
+            f.mat_mul(b.T, bad.T)
 
 
 def test_mat_mul_takes_list_operands_and_names_a_bad_shape():

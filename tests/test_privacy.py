@@ -13,7 +13,6 @@ from bipoly.errors import (
 from bipoly import privacy
 from bipoly.fieldcore import prime_field
 from bipoly.privacy import (
-    collusion_view,
     exhaustive_mi_check,
     mask_matrices,
     perfect_privacy_check,
@@ -96,27 +95,24 @@ def test_coefficients_match_encode_differences():
     a = f.asarray([[0]])
     b = f.asarray([[0]])
     pts = [EvalPoint(3, 7), EvalPoint(5, 2), EvalPoint(9, 4)]
-    subset = [1, 2]
+    # the coalition is workers 1 and 2, so shares[0] and shares[1]
     mats = mask_matrices([pts[0], pts[1]], K=1, T=2, m=1, q=q)
     zero_r = [f.zeros(1, 1) for _ in range(2)]
     zero_s = [[f.zeros(1, 1)] for _ in range(2)]
-    base = encode(p, a, b, points=pts, masks_r=zero_r, masks_s=zero_s)
-    base_view = collusion_view(base.shares, subset, T=2)
+    base = encode(p, a, b, points=pts, masks_r=zero_r, masks_s=zero_s).shares
     for t in range(2):
         bumped_r = [f.zeros(1, 1) for _ in range(2)]
         bumped_r[t] = f.asarray([[1]])
-        enc = encode(p, a, b, points=pts, masks_r=bumped_r, masks_s=zero_s)
-        view = collusion_view(enc.shares, subset, T=2)
+        enc = encode(p, a, b, points=pts, masks_r=bumped_r, masks_s=zero_s).shares
         for i in range(2):
-            delta = (view.observations_a[i][1] - base_view.observations_a[i][1]) % q
+            delta = (enc[i].share_a - base[i].share_a) % q
             assert delta[0, 0] == mats.a_coeffs[i, t]
     for t in range(2):
         bumped_s = [[f.zeros(1, 1)] for _ in range(2)]
         bumped_s[t] = [f.asarray([[1]])]
-        enc = encode(p, a, b, points=pts, masks_r=zero_r, masks_s=bumped_s)
-        view = collusion_view(enc.shares, subset, T=2)
+        enc = encode(p, a, b, points=pts, masks_r=zero_r, masks_s=bumped_s).shares
         for i in range(2):
-            delta = (view.observations_b[i][2] - base_view.observations_b[i][2]) % q
+            delta = (enc[i].shares_b[0] - base[i].shares_b[0]) % q
             assert delta[0, 0] == mats.b_coeffs[i, t]
 
 
@@ -142,15 +138,6 @@ def test_mask_matrices_are_slices_of_encodes_generators(q):
 def test_mask_matrices_reject_negative_dimensions(K, m):
     with pytest.raises(ParameterError, match=">= 0"):
         mask_matrices([EvalPoint(2, 3)], K=K, T=1, m=m, q=101)
-
-
-def test_collusion_view_rejects_oversized_subsets():
-    p = SchemeParams(K=1, L=1, T=1, m=1, N=3, q=101)
-    f = p.field
-    rng = np.random.default_rng(0)
-    enc = encode(p, f.zeros(1, 1), f.zeros(1, 1), rng)
-    with pytest.raises(ParameterError):
-        collusion_view(enc.shares, [1, 2], T=1)
 
 
 # -- batched sweep -----------------------------------------------------------
@@ -259,9 +246,9 @@ def test_default_sweep_skips_enumeration_when_all_points_pass(monkeypatch):
 
 
 def test_default_sweep_equals_explicit_combinations_on_degenerate_draws():
-    # The default path enumerates coalitions in numpy; it must list the
-    # same subsets, in the same order and under the same cut, as an
-    # explicit itertools.combinations sweep.
+    # The sweep enumerates coalitions in numpy; it must list the same
+    # failing subsets, in the same order and under the same cut, as the
+    # rank oracle over itertools.combinations.
     rng = np.random.default_rng(4242)
     seen = {"q_below_m": 0, "zero_x": 0, "repeated_x": 0, "t_above_n": 0}
     for trial in range(120):
@@ -278,34 +265,13 @@ def test_default_sweep_equals_explicit_combinations_on_degenerate_draws():
         pts = [EvalPoint(int(x) + q * i, i) for i, x in enumerate(xs)]
         cut = int(rng.integers(1, 30))
         got = sweep_collusion_subsets(pts, 1, T, m, q, max_failures=cut)
-        want = sweep_collusion_subsets(
-            pts, 1, T, m, q,
-            subsets=itertools.combinations(range(n), T), max_failures=cut,
-        )
-        assert got == want
+        assert got.failing_subsets == _oracle_failures(pts, 1, T, m, q)[:cut]
         assert got.subsets_checked == math.comb(n, T)
         seen["q_below_m"] += q < m
         seen["zero_x"] += 0 in xs
         seen["repeated_x"] += len(set(xs.tolist())) < n
         seen["t_above_n"] += T > n
     assert min(seen.values()) > 0, seen
-
-
-@pytest.mark.parametrize(
-    "subsets",
-    [
-        [(0, 1, 2), (3,)],  # wrong sizes that would regroup into pairs
-        [(0, -1)],  # negative index
-        [(0, 7)],  # index past N
-        [(0, 1, 2)],  # more than T members
-        [(1, 1)],  # repeated worker
-    ],
-    ids=["regrouped", "negative", "past-n", "oversized", "repeated"],
-)
-def test_explicit_subsets_are_validated(subsets):
-    pts = [EvalPoint(x, 1) for x in (3, 5, 7, 9)]
-    with pytest.raises(ParameterError, match="T=2 distinct worker indices in \\[0, 4\\)"):
-        sweep_collusion_subsets(pts, K=1, T=2, m=1, q=101, subsets=subsets)
 
 
 def test_sweep_rejects_negative_tolerance():

@@ -37,17 +37,22 @@ def shares_equal(s1, s2):
 def test_share_and_result_records_live_in_wire():
     # wire sits below scheme: it defines the records, scheme and the
     # package re-export them, and wire imports nothing from scheme.
+    # privacy imports neither of them.
     import ast
     import inspect
 
     import bipoly
-    from bipoly import scheme
+    from bipoly import privacy, scheme
 
     assert bipoly.WorkerShare is scheme.WorkerShare is wire.WorkerShare
     assert bipoly.PartialResult is scheme.PartialResult is wire.PartialResult
-    tree = ast.parse(inspect.getsource(wire))
-    imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
-    assert "scheme" not in imported and "bipoly.scheme" not in imported
+    def imported(module):
+        tree = ast.parse(inspect.getsource(module))
+        return {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+
+    assert not imported(wire) & {"scheme", "bipoly.scheme"}
+    # privacy is math over bivariate and fieldcore: it reads no records.
+    assert not imported(privacy) & {"wire", "bipoly.wire", "scheme", "bipoly.scheme"}
 
 
 @pytest.mark.parametrize("q", [101, 2**31 - 1, BIG_PRIME])
@@ -135,6 +140,51 @@ def test_dump_results_checks_blocks_against_dims():
     bad[-1] = replace(bad[-1], product=bad[-1].product[:, :1])
     with pytest.raises(WireFormatError, match=r"block shape \(2, 1\)"):
         wire.dump_results(p, dims, bad)
+
+
+NOT_U64 = r"holds object entries, not integers in \[0, 2\*\*64\)"
+
+
+@pytest.mark.parametrize(
+    "block, match",
+    [
+        ([[1.5, 2], [1, 1]], "holds float64 entries, not integers"),
+        (np.array([[1.0, 2], [1, 1]]), "holds float64 entries, not integers"),
+        ([["1", "2"], ["1", "1"]], "holds <U1 entries"),
+        (np.array([[1 + 0j, 2], [1, 1]]), "holds complex128 entries"),
+        ([[1, 2], [1]], "is a ragged nested sequence"),
+        (np.array([[2**64, 1], [1, 1]], dtype=object), NOT_U64),
+        (np.array([[-1, 1], [1, 1]], dtype=object), NOT_U64),
+        (np.array([[0.5, 1], [1, 1]], dtype=object), NOT_U64),
+    ],
+    ids=["float-list", "integral-float", "str", "complex", "ragged", "object-2**64",
+         "object-negative", "object-float"],
+)
+def test_dumps_name_every_block_that_is_not_integers(block, match):
+    # Each was a silently wrong record or a bare numpy exception.
+    p, dims, _, results = pipeline(101)
+    bad = list(results)
+    bad[3] = replace(bad[3], product=block)
+    with pytest.raises(WireFormatError, match=f"^worker 2 order 1 product {match}"):
+        wire.dump_results(p, dims, bad)
+
+
+def test_dumps_write_bool_and_integer_blocks_bit_for_bit():
+    p, dims, _, results = pipeline(101)
+    for block in (np.array([[True, False], [False, True]]), np.array([[3, 4], [5, 6]], dtype=np.int8),
+                  np.array([[3, 4], [5, 2**63 % 101]], dtype=object),
+                  np.array([[3, 4], [5, 6]], dtype=np.uint16)):
+        bad = list(results)
+        bad[0] = replace(bad[0], product=block)
+        loaded = wire.load_results(bytes(wire.dump_results(p, dims, bad)))[2]
+        assert loaded[0].product.tolist() == np.array(block, dtype=np.int64).tolist()
+    # Integer words >= q, negative ones included, are left to blob()'s check.
+    for block in (np.array([[101, 0], [0, 0]]), np.array([[-1, 0], [0, 0]], dtype=np.int8),
+                  np.array([[2**63, 0], [0, 0]], dtype=object)):
+        bad = list(results)
+        bad[0] = replace(bad[0], product=block)
+        with pytest.raises(WireFormatError, match="holds a word >= q=101"):
+            wire.dump_results(p, dims, bad)
 
 
 def test_dumps_name_a_point_that_is_not_an_eval_point():
