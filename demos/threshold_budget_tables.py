@@ -6,9 +6,10 @@ the rest on B derivative shares; the univariate baseline needs a fresh
 partition of each matrix per sub-task, so it climbs in m half as fast.
 """
 
+from dataclasses import replace
+
 from bipoly import SchemeParams, gasp_upload_cost_bits, upload_cost_bits
 from bipoly.baseline import GaspParams
-from bipoly.scheme import with_m
 from bipoly.simulator import GASP, PROPOSED, scheme_point
 
 params = SchemeParams(K=5, L=5, T=3, m=1, N=51, q=2**31 - 1)
@@ -18,7 +19,7 @@ print("budget  proposed m/R_th   baseline m/R_th   upload bits (proposed vs base
 for budget in range(2, 11):
     pm, pr = scheme_point(PROPOSED, budget, params)
     gm, gr = scheme_point(GASP, budget, params)
-    p_bits = upload_cost_bits(with_m(params, pm), r, s, c)
+    p_bits = upload_cost_bits(replace(params, m=pm), r, s, c)
     g_bits = gasp_upload_cost_bits(
         GaspParams(params.K, params.L, params.T, gm), params.N, r, s, c, params.q
     )

@@ -134,6 +134,11 @@ class PrimeField:
             arr = np.asarray(values)
         except ValueError:
             raise DimensionMismatchError("field elements must form a rectangular array") from None
+        if arr.dtype.kind == "f" and not isinstance(values, np.ndarray):
+            # numpy promotes a list mixing ints beyond int64 to float64.
+            exact = np.array(values, dtype=object)
+            if all(isinstance(v, (int, np.integer)) for v in exact.flat):
+                arr = exact
         integers = arr.dtype.kind in "biu" or (
             arr.dtype == object and all(isinstance(v, (int, np.integer)) for v in arr.flat)
         )

@@ -192,6 +192,12 @@ def sweep_collusion_subsets(
     return SweepReport(sub.shape[0], tuple(tuple(map(int, row)) for row in failing))
 
 
+def _entropy(counts: np.ndarray) -> float:
+    """Shannon entropy (bits) of the distribution proportional to counts."""
+    p = counts[counts > 0] / counts.sum()
+    return float(-(p * np.log2(p)).sum())
+
+
 def exhaustive_mi_check(
     points: Sequence[EvalPoint],
     K: int,
@@ -202,11 +208,12 @@ def exhaustive_mi_check(
 ) -> float:
     """Exact mutual information (bits) between scalar inputs and the view.
 
-    Enumerates every (A, B, masks) tuple for a single-partition instance
-    (scalar A and B) and counts the joint distribution of ((A, B),
-    coalition view).  Returns exactly 0.0 when the view is independent
-    of the inputs.  zero_r_masks pins the left masks to zero to
-    instrument a deliberately broken encoding.
+    Enumerates every mask tuple for a single-partition instance (scalar
+    A and B).  The view given (A, B) is the mask image shifted by (A, B),
+    so the MI is H(mixture of the q^2 shifted images) - H(image): exactly
+    0.0 when the view is independent of the inputs, as the mixture is
+    then q^2 times the image.  zero_r_masks pins the left masks to zero
+    to instrument a deliberately broken encoding.
     """
     prime_field(q)
     if K != 1:
@@ -223,8 +230,7 @@ def exhaustive_mi_check(
         raise TooLargeToEnumerateError(
             f"{states} states exceed the enumeration limit {_ENUM_LIMIT}"
         )
-    n_tuples = q**n_mask
-    idx = np.arange(n_tuples, dtype=np.int64)
+    idx = np.arange(q**n_mask, dtype=np.int64)
     # Row v holds mask v in every tuple: left masks t, then right masks
     # (t, j), matching the columns of the coefficient matrices.
     digits = idx // q ** np.arange(n_mask, dtype=np.int64)[:, None] % q
@@ -241,25 +247,10 @@ def exhaustive_mi_check(
     # Axis a of the grid is component n_view-1-a (most significant first).
     # Shifting the A-view axes by A and the order-0 derivative axes by B
     # turns the mask distribution into the view distribution for (A, B).
-    joint = np.zeros((q * q, q**n_view), dtype=np.int64)
+    roles = [(comp < T, comp >= T and (comp - T) % m == 0) for comp in reversed(range(n_view))]
+    mixture = np.zeros_like(grid)
     for a_val in range(q):
         for b_val in range(q):
-            shifts = []
-            for axis in range(n_view):
-                comp = n_view - 1 - axis
-                if comp < T:
-                    shifts.append(a_val)
-                elif (comp - T) % m == 0:
-                    shifts.append(b_val)
-                else:
-                    shifts.append(0)
-            rolled = np.roll(grid, shift=tuple(shifts), axis=tuple(range(n_view)))
-            joint[a_val * q + b_val] = rolled.ravel()
-    total = q * q * n_tuples
-    colsum = joint.sum(axis=0)
-    rows, cols = np.nonzero(joint)
-    c = joint[rows, cols].astype(np.float64)
-    # log2(c * q^2) - log2(colsum) is exactly zero when the conditional
-    # equals the marginal, keeping the perfectly-private case at 0.0.
-    terms = c / total * (np.log2(c * q * q) - np.log2(colsum[cols].astype(np.float64)))
-    return float(terms.sum())
+            shifts = tuple(a_val * on_a + b_val * on_b for on_a, on_b in roles)
+            mixture += np.roll(grid, shift=shifts, axis=tuple(range(n_view)))
+    return _entropy(mixture) - _entropy(grid)

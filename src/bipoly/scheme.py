@@ -11,8 +11,9 @@ one square linear solve.
 
 from __future__ import annotations
 
+import itertools
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -27,6 +28,7 @@ from .bivariate import (
     stack_coefficients_b,
 )
 from .errors import (
+    BipolyError,
     BudgetTooSmallError,
     DecodeSingularError,
     DimensionMismatchError,
@@ -152,8 +154,6 @@ def sample_points(params: SchemeParams, rng: np.random.Generator) -> list[EvalPo
     repeated x would let two colluders cancel mask contributions.
     """
     q, n = params.q, params.N
-    if q < n:
-        raise FieldTooSmallError(f"q={q} < N={n}: not enough points to go around")
     if params.T >= 1:
         if q - 1 < n:
             raise FieldTooSmallError(
@@ -178,28 +178,28 @@ def sample_points(params: SchemeParams, rng: np.random.Generator) -> list[EvalPo
     return points
 
 
+def _check_field_point(point, q: int, what: str, error: type[BipolyError]) -> None:
+    """Raise `error`, naming `what`, unless point is an EvalPoint of integers in [0, q)."""
+    if not isinstance(point, EvalPoint):
+        raise error(f"{what} reports point {point!r}; expected an EvalPoint")
+    for name, value in zip(("x", "y"), point):
+        if not (isinstance(value, (int, np.integer)) and 0 <= value < q):
+            raise error(f"{what}: {name}={value!r} is not a field element in [0, q={q})")
+
+
 def _check_points(params: SchemeParams, points: Sequence[EvalPoint]) -> None:
     """N points that head words can hold and that keep the shares private.
 
-    Every coordinate is an integer in [0, q).  With T >= 1 the x
-    coordinates are also nonzero and pairwise distinct, as sample_points
-    draws them: that is the condition under which every T-coalition
-    learns nothing (privacy.sweep_collusion_subsets).
+    Every point is an EvalPoint of integers in [0, q).  With T >= 1 the
+    x coordinates are also nonzero and pairwise distinct, as
+    sample_points draws them: that is the condition under which every
+    T-coalition learns nothing (privacy.sweep_collusion_subsets).
     """
-    q = params.q
     if len(points) != params.N:
         raise ParameterError(f"expected {params.N} evaluation points, got {len(points)}")
     seen: dict[int, int] = {}
     for worker_id, point in enumerate(points, 1):
-        for name, value in zip(("x", "y"), point):
-            try:
-                inside = 0 <= operator.index(value) < q
-            except TypeError:
-                inside = False
-            if not inside:
-                raise ParameterError(
-                    f"worker {worker_id}: {name}={value!r} is not a field element in [0, q={q})"
-                )
+        _check_field_point(point, params.q, f"worker {worker_id}", ParameterError)
         if params.T >= 1:
             x = point[0]
             if x == 0:
@@ -311,67 +311,50 @@ def compute_all(shares: Sequence[WorkerShare]) -> ResultSet | list[PartialResult
     return results
 
 
-def sort_responses(results: Sequence[PartialResult]) -> list[PartialResult]:
-    """Deterministic master-side ordering: by (worker_id, order)."""
-    return sorted(results, key=lambda r: (r.worker_id, r.order))
+def validate_responses(
+    params: SchemeParams, results: Sequence[PartialResult]
+) -> list[PartialResult]:
+    """Check the whole response contract; return the responses in (worker_id, order) order.
 
-
-def validate_prefix(results: Sequence[PartialResult], m: int | None = None) -> None:
-    """Check the in-order computation contract.
-
-    Each worker's received orders must be exactly 0..k-1 for some k
-    (no gaps, no duplicates), and below m when m is given.
+    Every worker_id and order is an integer and every point an EvalPoint
+    of field elements.  Each worker's orders read 0, 1, ..., k-1 with
+    k <= m (no gaps, no duplicates), its responses report one point, and
+    every product has the same 2-D shape.  Distinct workers that share a
+    point are left to the solve, which finds the system singular.
     """
-    by_worker: dict[int, list[int]] = {}
     for res in results:
-        by_worker.setdefault(res.worker_id, []).append(res.order)
-    for wid, orders in by_worker.items():
-        orders.sort()
+        what = f"worker {res.worker_id} order {res.order}"
+        for name, value in (("worker_id", res.worker_id), ("order", res.order)):
+            try:
+                operator.index(value)
+            except TypeError:
+                raise ResponseContractError(f"{what}: {name}={value!r} is not an integer") from None
+        _check_field_point(res.point, params.q, what, ResponseContractError)
+    ordered = sorted(results, key=lambda res: (res.worker_id, res.order))
+    shapes = set()
+    for wid, run in itertools.groupby(ordered, key=lambda res: res.worker_id):
+        run = list(run)
+        orders = [res.order for res in run]
         if orders != list(range(len(orders))):
             raise OrderViolationError(
-                f"worker {wid} responses have orders {orders}; "
-                "expected a gap-free prefix 0..k-1"
+                f"worker {wid} responses have orders {orders}; expected a gap-free prefix 0..k-1"
             )
-        if m is not None and len(orders) > m:
+        if len(orders) > params.m:
             raise OrderViolationError(
-                f"worker {wid} returned {len(orders)} results but m={m}"
+                f"worker {wid} returned {len(orders)} results but m={params.m}"
             )
-
-
-def validate_responses(results: Sequence[PartialResult], m: int | None = None) -> None:
-    """Check the whole response contract before a decode.
-
-    On top of validate_prefix: each worker reports one EvalPoint across
-    all its results, and every product has the same 2-D shape.
-    Distinct workers that share a point are left to the solve, which
-    finds the system singular.
-    """
-    validate_prefix(results, m)
-    points: dict[int, EvalPoint] = {}
-    for res in results:
-        if not isinstance(res.point, EvalPoint):
-            raise ResponseContractError(
-                f"worker {res.worker_id} order {res.order} reports point {res.point!r}; "
-                "expected an EvalPoint"
-            )
-        first = points.setdefault(res.worker_id, res.point)
-        if first != res.point:
-            raise ResponseContractError(
-                f"worker {res.worker_id} reports points {tuple(first)} and "
-                f"{tuple(res.point)}; expected one point per worker"
-            )
-    shapes = {
-        _array(res.product, f"worker {res.worker_id} order {res.order} product").shape
-        for res in results
-    }
+        for res in run:
+            if res.point != run[0].point:
+                raise ResponseContractError(
+                    f"worker {wid} reports points {tuple(run[0].point)} and "
+                    f"{tuple(res.point)}; expected one point per worker"
+                )
+            shapes.add(_array(res.product, f"worker {wid} order {res.order} product").shape)
     if any(len(shape) != 2 for shape in shapes):
-        raise DimensionMismatchError(
-            f"result products must be 2-D, got shapes {sorted(shapes)}"
-        )
+        raise DimensionMismatchError(f"result products must be 2-D, got shapes {sorted(shapes)}")
     if len(shapes) > 1:
-        raise DimensionMismatchError(
-            f"result products disagree in shape: {sorted(shapes)}"
-        )
+        raise DimensionMismatchError(f"result products disagree in shape: {sorted(shapes)}")
+    return ordered
 
 
 def interpolation_matrix(
@@ -397,8 +380,7 @@ def decode(params: SchemeParams, results: Sequence[PartialResult]) -> DecodedPro
         raise NotEnoughResponsesError(
             f"{len(results)} responses < recovery threshold {r_th}"
         )
-    validate_responses(results, params.m)
-    chosen = sort_responses(results)[:r_th]
+    chosen = validate_responses(params, results)[:r_th]
     field = params.field
     mat = interpolation_matrix(
         params, build_support(params), [(res.point, res.order) for res in chosen]
@@ -450,8 +432,3 @@ def random_prefix_subset(
         counts[pick] += 1
         total += 1
     return [res for wid in wids for res in by_worker[wid][: counts[wid]]]
-
-
-def with_m(params: SchemeParams, m: int) -> SchemeParams:
-    """Copy of params with a different per-worker task cap."""
-    return replace(params, m=m)

@@ -14,7 +14,7 @@ whichever other kth a partial sort also places.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -22,7 +22,7 @@ import numpy as np
 from .baseline import GaspParams, gasp_max_m, gasp_rth
 from .bivariate import SchemeParams
 from .errors import IncompletableError, ParameterError
-from .scheme import max_m_for_budget, recovery_threshold, with_m
+from .scheme import max_m_for_budget, recovery_threshold
 
 PROPOSED = "proposed"
 GASP = "gasp"
@@ -153,7 +153,7 @@ def scheme_point(scheme: str, budget: int, params: SchemeParams) -> tuple[int, i
     """(m, recovery threshold) of a scheme under a partition budget."""
     if scheme == PROPOSED:
         m = max_m_for_budget(budget, params.L)
-        return m, recovery_threshold(with_m(params, m))
+        return m, recovery_threshold(replace(params, m=m))
     if scheme == GASP:
         m = gasp_max_m(budget)
         return m, gasp_rth(GaspParams(params.K, params.L, params.T, m))

@@ -49,7 +49,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bivariate import EvalPoint, SchemeParams
-from .errors import WireFormatError
+from .errors import BipolyError, WireFormatError
 
 MAGIC = int.from_bytes(b"FQPCODE1", "little")
 VERSION = 1
@@ -316,7 +316,10 @@ def _unpack(data: bytes, kind: str) -> tuple[SchemeParams, tuple[int, int, int],
     if int(words[1]) != VERSION:
         raise WireFormatError(f"unsupported version {int(words[1])}")
     q, k, l, t, m, n, r, s, c = (int(w) for w in words[2:_HEADER_WORDS])
-    params, dims = SchemeParams(K=k, L=l, T=t, m=m, N=n, q=q), (r, s, c)
+    try:
+        params, dims = SchemeParams(K=k, L=l, T=t, m=m, N=n, q=q), (r, s, c)
+    except BipolyError as err:
+        raise WireFormatError(f"header holds invalid parameters: {err}") from None
     rec = _layout(params, dims)[kind]
     body = words[_HEADER_WORDS:]
     count = params.N if kind == "share" else body.size // rec.width

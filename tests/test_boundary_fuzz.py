@@ -1,11 +1,15 @@
-"""Fuzz the entry points that take matrices from a caller.
+"""Fuzz the entry points that take matrices, responses or bytes from a caller.
 
 `PrimeField.mat_mul`, `worker_compute`, `compute_all` of a plain list
 and both dumps of plain lists get canonical operands with one of them
 mutated: a float, complex, string or bool array, an int64 or object
 entry outside [0, q), a ragged nested list or a wrong shape.  Every call
 must either match the Python-int oracle or raise a BipolyError; no
-other exception may escape.
+other exception may escape.  `decode` gets a response set with one
+response's worker_id, order, point or product broken, and must return
+A @ B or raise a BipolyError.  Both loads get blobs with header words
+at their edges, swapped or truncated, and must return a set or raise a
+WireFormatError.
 """
 
 import functools
@@ -19,10 +23,10 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from bipoly import wire  # noqa: E402
-from bipoly.bivariate import SchemeParams  # noqa: E402
-from bipoly.errors import BipolyError  # noqa: E402
+from bipoly.bivariate import EvalPoint, SchemeParams  # noqa: E402
+from bipoly.errors import BipolyError, WireFormatError  # noqa: E402
 from bipoly.fieldcore import prime_field  # noqa: E402
-from bipoly.scheme import compute_all, encode, worker_compute  # noqa: E402
+from bipoly.scheme import compute_all, decode, encode, worker_compute  # noqa: E402
 
 PRIMES = [101, 2**31 - 1, 4611686018427387847]
 # Every block has at least two rows and two columns, so a ragged list
@@ -197,3 +201,74 @@ def test_result_dump_matches_the_oracle_or_raises(q, data):
         return [res.product.tolist() for res in loaded]
 
     expect(round_trip, entries if all(fits(e, q) for e in entries) else None)
+
+
+@functools.lru_cache(maxsize=None)
+def decodable(q: int):
+    """Params, A @ B and the 12 responses of 6 workers; R_th is 10."""
+    p = SchemeParams(K=2, L=2, T=1, m=2, N=6, q=q)
+    rng = np.random.default_rng(q % 991)
+    r, s, c = DIMS
+    a, b = p.field.random_matrix(rng, r, s), p.field.random_matrix(rng, s, c)
+    return p, p.field.mat_mul(a, b).tolist(), list(compute_all(encode(p, a, b, rng).shares))
+
+
+def broken_response(data, res, q: int, m: int):
+    """res with its worker_id, order, point or product drawn out of the contract."""
+    x, y = res.point
+    field = data.draw(st.sampled_from(["worker_id", "order", "point", "product"]), label="field")
+    value = data.draw(st.sampled_from({
+        "worker_id": [None, str(res.worker_id), float(res.worker_id)],
+        "order": [None, str(res.order), 1.5, -1, m],
+        "point": [
+            (x, y), EvalPoint(-x - 1, y), EvalPoint(x + q, y), EvalPoint(2**70, y),
+            EvalPoint(x, float(y)),
+        ],
+        "product": [
+            res.product + 0.0, res.product.astype(str), res.product.tolist()[:-1] + [[0]],
+            res.product.ravel(), res.product[None],
+        ],
+    }[field]), label="value")
+    return replace(res, **{field: value})
+
+
+@pytest.mark.parametrize("q", PRIMES)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_decode_of_a_broken_response_is_exact_or_raises(q, data):
+    # Only mutations that break the contract: a response that keeps it
+    # but carries a wrong value is for a check of the decoded product.
+    p, want, results = decodable(q)
+    k = data.draw(st.integers(0, len(results) - 1), label="response")
+    results = list(results)
+    results[k] = broken_response(data, results[k], q, p.m)
+    try:
+        got = decode(p, results).assembled.tolist()
+    except BipolyError:
+        return
+    assert got == want
+
+
+@pytest.mark.parametrize("q", PRIMES)
+@pytest.mark.parametrize("kind", ["shares", "results"])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_a_load_of_a_broken_header_returns_a_set_or_raises(q, kind, data):
+    p, shares, results = pipeline(q)
+    if kind == "shares":
+        blob, load, made = wire.dump_shares(p, DIMS, shares), wire.load_shares, wire.ShareSet
+    else:
+        blob, load, made = wire.dump_results(p, DIMS, results), wire.load_results, wire.ResultSet
+    words = np.frombuffer(blob, dtype="<u8").copy()
+    edges = st.sampled_from([0, 1, q, 2**62, 2**63, 2**64 - 1])
+    for index, value in data.draw(st.dictionaries(st.integers(0, 10), edges, max_size=3)).items():
+        words[index] = value
+    i, j = data.draw(st.lists(st.integers(0, 10), min_size=2, max_size=2), label="swap")
+    words[[i, j]] = words[[j, i]]
+    length = data.draw(st.one_of(st.just(len(blob)), st.integers(0, len(blob))), label="length")
+    raw = words.tobytes()[:length]
+    try:
+        loaded = load(raw)[2]
+    except WireFormatError:
+        return
+    assert isinstance(loaded, made)

@@ -470,6 +470,16 @@ def test_asarray_names_a_dtype_that_is_not_an_integer():
             f.asarray(bad)
 
 
+def test_asarray_keeps_a_list_that_numpy_promotes_to_float_exact():
+    # numpy reads these lists as float64; they were refused as floats.
+    f = prime_field(101)
+    assert f.asarray([[2**63, 1]]).tolist() == [[90, 1]]
+    assert f.asarray([[-1, 2**63]]).tolist() == [[100, 90]]
+    for bad in ([[1.5, 2]], [[2**63, 1.0]]):
+        with pytest.raises(BipolyError, match="must be integers, got float64 input"):
+            f.asarray(bad)
+
+
 def test_asarray_and_rank_name_a_ragged_input():
     f = prime_field(101)
     with pytest.raises(DimensionMismatchError, match="must form a rectangular array"):

@@ -32,9 +32,8 @@ from bipoly.scheme import (
     random_prefix_subset,
     recovery_threshold,
     sample_points,
-    sort_responses,
     upload_cost_bits,
-    validate_prefix,
+    validate_responses,
     worker_compute,
 )
 
@@ -423,7 +422,7 @@ def test_failure_bound_is_integer_across_sweep():
 
 def interpolation_rows(p, results):
     """The rows decode builds for a response set, in (worker, order) order."""
-    pairs = [(res.point, res.order) for res in sort_responses(results)]
+    pairs = [(res.point, res.order) for res in validate_responses(p, results)]
     return interpolation_matrix(p, build_support(p), pairs)
 
 
@@ -433,7 +432,7 @@ def test_interpolation_matrix_shapes_and_pattern():
     sup = build_support(p)
     mat = interpolation_rows(p, results)
     assert mat.shape == (8, 10)
-    ordered = sort_responses(results)
+    ordered = validate_responses(p, results)
     # even rows are order-0 monomial evaluations, odd rows their y-derivative
     for i, res in enumerate(ordered):
         x, y = res.point
@@ -457,13 +456,17 @@ def test_interpolation_matrix_empty_and_single():
 def test_prefix_validation():
     p = make_params(2, 2, 1, 2, 4, q=101)
     _, _, _, results, _ = run_pipeline(p, 4, 3, 4)
-    ordered = sort_responses(results)
-    validate_prefix(ordered, p.m)
+    ordered = validate_responses(p, results[::-1])
+    assert [(r.worker_id, r.order) for r in ordered] == sorted(
+        (r.worker_id, r.order) for r in results
+    )
     missing_first = [r for r in ordered if not (r.worker_id == 1 and r.order == 0)]
     with pytest.raises(OrderViolationError):
-        validate_prefix(missing_first, p.m)
+        validate_responses(p, missing_first)
     with pytest.raises(OrderViolationError):
-        validate_prefix([ordered[0], ordered[0]], p.m)
+        validate_responses(p, [ordered[0], ordered[0]])
+    with pytest.raises(OrderViolationError, match="worker 1 returned 3 results but m=2"):
+        validate_responses(p, ordered[:2] + [replace(ordered[1], order=2)])
 
 
 # -- decode ---------------------------------------------------------------------
@@ -586,6 +589,34 @@ def test_decode_names_a_point_that_is_not_an_eval_point():
         decode(p, bad)
 
 
+@pytest.mark.parametrize(
+    "orders, change, match",
+    [
+        ((1,), lambda res: replace(res, order=None), r"^worker 2 order None: order=None is not"),
+        ((1,), lambda res: replace(res, order="1"), r"^worker 2 order 1: order='1' is not"),
+        ((1,), lambda res: replace(res, order=1.0), r"^worker 2 order 1.0: order=1.0 is not"),
+        ((1,), lambda res: replace(res, worker_id=None),
+         r"^worker None order 1: worker_id=None is not an integer"),
+        ((0, 1), lambda res: replace(res, point=EvalPoint(-res.point.x, res.point.y)),
+         r"^worker 2 order 0: x=-\d+ is not a field element in \[0, q=101\)"),
+        ((0, 1), lambda res: replace(res, point=EvalPoint(2**70, res.point.y)),
+         r"^worker 2 order 0: x=1180591620717411303424 is not a field element"),
+        ((0, 1), lambda res: replace(res, point=EvalPoint(res.point.x + 101, res.point.y)),
+         r"^worker 2 order 0: x=\d+ is not a field element"),
+        ((0, 1), lambda res: replace(res, point=EvalPoint(87.0, res.point.y)),
+         r"^worker 2 order 0: x=87.0 is not a field element"),
+    ],
+)
+def test_decode_names_a_response_that_breaks_the_contract(orders, change, match):
+    # Each of these once escaped as a bare TypeError, was reported as an
+    # order violation, or decoded to a wrong product with no error.
+    p = make_params(2, 2, 1, 2, 8, q=101)
+    _, _, _, results, _ = run_pipeline(p, 4, 4, 4)
+    bad = [change(res) if res.worker_id == 2 and res.order in orders else res for res in results]
+    with pytest.raises(ResponseContractError, match=match):
+        decode(p, bad)
+
+
 def test_decode_mask_freedom():
     # zeroing every mask must not change any extracted block
     p = make_params(2, 2, 2, 2, 8, q=Q31)
@@ -609,6 +640,6 @@ def test_random_prefix_subset_is_prefix_valid():
     for size in (3, 7, 10):
         subset = random_prefix_subset(results, size, rng)
         assert len(subset) == size
-        validate_prefix(subset, p.m)
+        validate_responses(p, subset)
     with pytest.raises(NotEnoughResponsesError):
         random_prefix_subset(results, len(results) + 1, rng)

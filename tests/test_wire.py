@@ -246,6 +246,18 @@ def test_loaders_reject_dims_that_do_not_divide(index, value, match):
         wire.load_results(_with_word(wire.dump_results(p, dims, results), index, value))
 
 
+@pytest.mark.parametrize("index, value, match", [
+    (2, 100, "field order 100 is not prime"), (3, 0, "K must be >= 1"), (6, 3, "m <= L violated"),
+])
+def test_loaders_name_header_parameters_that_break_an_invariant(index, value, match):
+    # These escaped as a ParameterError or NonPrimeModulusError.
+    p, dims, shares, results = pipeline(101)
+    with pytest.raises(WireFormatError, match=f"header holds invalid parameters: {match}"):
+        wire.load_shares(_with_word(wire.dump_shares(p, dims, shares), index, value))
+    with pytest.raises(WireFormatError, match=f"header holds invalid parameters: {match}"):
+        wire.load_results(_with_word(wire.dump_results(p, dims, results), index, value))
+
+
 @pytest.mark.parametrize("writable", [False, True])
 def test_loaded_blocks_are_read_only_views_of_the_blob(writable):
     p, dims, shares, results = pipeline(101)
