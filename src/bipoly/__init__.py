@@ -45,14 +45,7 @@ from .privacy import (
     perfect_privacy_check,
     sweep_collusion_subsets,
 )
-from .simulator import (
-    SimConfig,
-    SimResult,
-    WorkerClass,
-    budget_sweep,
-    expected_time,
-    simulate_once,
-)
+from .simulator import WorkerClass, budget_sweep
 
 __all__ = [
     "__version__",
@@ -66,8 +59,6 @@ __all__ = [
     "PrimeField",
     "PrivacyCheck",
     "SchemeParams",
-    "SimConfig",
-    "SimResult",
     "WorkerClass",
     "WorkerShare",
     "build_support",
@@ -76,7 +67,6 @@ __all__ = [
     "decode",
     "encode",
     "exhaustive_mi_check",
-    "expected_time",
     "failure_bound_d",
     "gasp_max_m",
     "gasp_rth",
@@ -90,7 +80,6 @@ __all__ = [
     "random_prefix_subset",
     "recovery_threshold",
     "sample_points",
-    "simulate_once",
     "support_degree_sum",
     "sweep_collusion_subsets",
     "upload_cost_bits",

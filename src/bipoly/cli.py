@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
-import math
 import os
 import sys
 from importlib import resources
@@ -61,11 +60,16 @@ def _parse_budgets(text: str) -> list[int]:
     out: list[int] = []
     for part in text.split(","):
         part = part.strip()
-        if "-" in part:
-            lo, hi = part.split("-", 1)
-            out.extend(range(int(lo), int(hi) + 1))
-        elif part:
-            out.append(int(part))
+        try:
+            if "-" in part:
+                lo, hi = part.split("-", 1)
+                out.extend(range(int(lo), int(hi) + 1))
+            elif part:
+                out.append(int(part))
+        except ValueError:
+            raise ParameterError(
+                f"budget {part!r} in {text!r} is not an integer or a lo-hi range"
+            ) from None
     if not out:
         raise ParameterError(f"no budgets in {text!r}")
     return out
@@ -160,7 +164,10 @@ def _cmd_thresholds(args: argparse.Namespace) -> int:
 def _config_value(path: str, sec: configparser.SectionProxy, key: str, convert):
     if key not in sec:
         raise ParameterError(f"{path}: [{sec.name}] section lacks the {key!r} key")
-    return convert(sec[key])
+    try:
+        return convert(sec[key])
+    except (ValueError, ParameterError) as err:
+        raise ParameterError(f"{path}: [{sec.name}] {key} = {sec[key]!r}: {err}") from None
 
 
 def load_sim_config(path: str) -> dict:
@@ -168,9 +175,9 @@ def load_sim_config(path: str) -> dict:
 
     Sections: [scheme] with K, L, T, q; [sim] with trials, budgets and an
     optional seed; one [class.NAME] per worker class with count, lambda,
-    nu.  A missing key raises ParameterError naming the file, the section
-    and the key.  Bundled configs can be named directly ('heterogeneous'
-    or 'homogeneous').
+    nu.  A missing key, or a value that does not parse, raises
+    ParameterError naming the file, the section and the key.  Bundled
+    configs can be named directly ('heterogeneous' or 'homogeneous').
     """
     if not os.path.exists(path) and not path.endswith(".cfg"):
         bundled = resources.files("bipoly") / "configs" / f"{path}.cfg"
@@ -208,12 +215,13 @@ def load_sim_config(path: str) -> dict:
         q=_config_value(path, scheme_sec, "q", int),
     )
     sim_sec = parser["sim"]
+    sim_sec.setdefault("budgets", "2-10")
     return {
         "params": params,
         "classes": classes,
         "trials": _config_value(path, sim_sec, "trials", int),
-        "budgets": _parse_budgets(sim_sec.get("budgets", "2-10")),
-        "seed": sim_sec.getint("seed", fallback=None),
+        "budgets": _config_value(path, sim_sec, "budgets", _parse_budgets),
+        "seed": _config_value(path, sim_sec, "seed", int) if "seed" in sim_sec else None,
     }
 
 
@@ -250,11 +258,6 @@ def _cmd_privacy(args: argparse.Namespace) -> int:
     params = SchemeParams(K=args.K, L=args.L, T=args.T, m=args.m, N=args.N, q=args.q)
     if args.sweeps < 1:
         raise ParameterError(f"sweeps must be >= 1, got {args.sweeps}")
-    n_subsets = math.comb(params.N, params.T)
-    if n_subsets > 2_000_000:
-        raise ParameterError(
-            f"C({params.N},{params.T}) = {n_subsets} subsets is too many to sweep"
-        )
     args.seed = _resolve_seed(args.seed)
     rng = np.random.default_rng(args.seed)
     overall_pass = True

@@ -45,6 +45,8 @@ from .fieldcore import prime_field
 
 # Hard cap on exhaustive enumeration: q**(2 + T + T*m) states.
 _ENUM_LIMIT = 20_000_000
+# Hard cap on the coalitions a sweep enumerates: C(N, T) rows of T indices.
+_SUBSET_LIMIT = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -168,7 +170,8 @@ def sweep_collusion_subsets(
     lists the first `max_failures` failing ones in enumeration order:
     exactly those perfect_privacy_check fails.  Works at any supported q.
     When all N residues already pass the criterion, so does every
-    subset, and the sweep counts C(N, T) without enumerating.
+    subset, and the sweep counts C(N, T) without enumerating; otherwise
+    more than 2,000,000 subsets raise TooLargeToEnumerateError.
     """
     prime_field(q)
     if T < 0:
@@ -177,8 +180,13 @@ def sweep_collusion_subsets(
         return SweepReport(0, ())
     n = len(points)
     residues = [pt.x % q for pt in points]
+    count = math.comb(n, T)
     if len(set(residues)) == n and (K == 0 or 0 not in residues) and q >= m:
-        return SweepReport(math.comb(n, T), ())
+        return SweepReport(count, ())
+    if count > _SUBSET_LIMIT:
+        raise TooLargeToEnumerateError(
+            f"C({n},{T}) = {count} subsets exceed the enumeration limit {_SUBSET_LIMIT}"
+        )
     sub = _combinations(n, T)
     # xs[t] holds the residue of every coalition's t-th member.
     xs = np.array(residues, dtype=np.int64)[sub].T

@@ -4,11 +4,12 @@ Workers draw a shifted-exponential per-task duration; a worker that is
 slow is slow for all of its sub-tasks, so its j-th result reaches the
 master at j times its duration (communication is instantaneous).  A run
 ends when the recovery-threshold-th result arrives, decode time
-excluded.  A sweep draws one (trials x N) duration matrix from
-default_rng(seed), columns in worker-class order, and reads every
-completion time off it with one partial sort per distinct m for all
-schemes and budgets: a k-th order statistic has the same value
-whichever other kth a partial sort also places.
+excluded.  `budget_sweep` is the one entry point: it draws one
+(trials x N) duration matrix from default_rng(seed), columns in
+worker-class order, and reads every (scheme, budget) completion time
+off it with one partial sort per distinct m: a k-th order statistic
+has the same value whichever other kth a partial sort also places.
+Each row reports the mean over the trials and its standard error.
 """
 
 from __future__ import annotations
@@ -50,28 +51,6 @@ class WorkerClass:
             raise ParameterError(f"shift nu must be >= 0, got {self.nu}")
 
 
-@dataclass(frozen=True)
-class SimConfig:
-    classes: tuple[WorkerClass, ...]
-    scheme_rth: int
-    m: int
-    trials: int
-    seed: int
-
-    def __post_init__(self):
-        if self.scheme_rth < 1 or self.m < 1 or self.trials < 1:
-            raise ParameterError(
-                f"scheme_rth, m and trials must be >= 1, got {self}"
-            )
-
-
-@dataclass(frozen=True)
-class SimResult:
-    mean_time: float
-    std_error: float
-    per_trial_times: np.ndarray | None = None
-
-
 def _durations(
     classes: Sequence[WorkerClass], trials: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -82,14 +61,6 @@ def _durations(
     )
 
 
-def _check_completable(n_workers: int, m: int, scheme_rth: int) -> None:
-    if n_workers * m < scheme_rth:
-        raise IncompletableError(
-            f"{n_workers} workers x m={m} tasks cannot reach "
-            f"the threshold {scheme_rth}"
-        )
-
-
 def _completion_times(
     durations: np.ndarray, m: int, thresholds: Sequence[int]
 ) -> np.ndarray:
@@ -97,11 +68,10 @@ def _completion_times(
 
     Worker i delivers its j-th result at j times its duration, for
     j = 1..m; each row of `durations` is one trial.  One partial sort
-    per block of trials places every threshold at once.
+    per block of trials places every threshold at once.  Each threshold
+    must be at most N*m results; budget_sweep checks that first.
     """
-    trials, n_workers = durations.shape
-    for r_th in thresholds:
-        _check_completable(n_workers, m, r_th)
+    trials = durations.shape[0]
     cols = [r_th - 1 for r_th in thresholds]
     out = np.empty((len(cols), trials))
     for lo in range(0, trials, _BLOCK_ROWS):
@@ -112,29 +82,10 @@ def _completion_times(
     return out
 
 
-def simulate_once(cfg: SimConfig, rng: np.random.Generator) -> float:
-    """Arrival time of the scheme_rth-th sub-task result in one trial."""
-    durations = _durations(cfg.classes, 1, rng)
-    return float(_completion_times(durations, cfg.m, [cfg.scheme_rth])[0, 0])
-
-
-def expected_time(cfg: SimConfig, keep_times: bool = False) -> SimResult:
-    """Monte Carlo mean completion time with its standard error.
-
-    Deterministic for a given cfg.seed: all cfg.trials trials come from
-    one draw of default_rng(cfg.seed).
-    """
-    durations = _durations(cfg.classes, cfg.trials, np.random.default_rng(cfg.seed))
-    return _summary(_completion_times(durations, cfg.m, [cfg.scheme_rth])[0], keep_times)
-
-
-def _summary(times: np.ndarray, keep_times: bool = False) -> SimResult:
+def _summary(times: np.ndarray) -> tuple[float, float]:
+    """Mean of the per-trial times and its standard error (0 for one trial)."""
     n = len(times)
-    return SimResult(
-        mean_time=float(times.mean()),
-        std_error=float(times.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0,
-        per_trial_times=times if keep_times else None,
-    )
+    return float(times.mean()), float(times.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
 
 
 @dataclass(frozen=True)
@@ -185,36 +136,26 @@ def budget_sweep(
     budgets = list(budgets)
     n_workers = sum(c.count for c in classes)
     points = []
+    thresholds: dict[int, set[int]] = {}
     for scheme in schemes:
         for budget in budgets:
             m, r_th = scheme_point(scheme, budget, params)
-            _check_completable(n_workers, m, r_th)
+            if n_workers * m < r_th:
+                raise IncompletableError(
+                    f"{n_workers} workers x m={m} tasks cannot reach the threshold {r_th}"
+                )
             points.append((scheme, budget, m, r_th))
-    thresholds: dict[int, set[int]] = {}
-    for _, _, m, r_th in points:
-        thresholds.setdefault(m, set()).add(r_th)
+            thresholds.setdefault(m, set()).add(r_th)
     durations = _durations(classes, trials, np.random.default_rng(seed))
     summaries = {}
     for m, r_ths in thresholds.items():
         r_ths = sorted(r_ths)
         for r_th, times in zip(r_ths, _completion_times(durations, m, r_ths)):
             summaries[m, r_th] = _summary(times)
-    rows = []
-    for scheme, budget, m, r_th in points:
-        res = summaries[m, r_th]
-        rows.append(
-            SweepRow(
-                scheme=scheme,
-                budget=budget,
-                m=m,
-                r_th=r_th,
-                mean_time_s=res.mean_time,
-                std_err_s=res.std_error,
-                trials=trials,
-                seed=seed,
-            )
-        )
-    return rows
+    return [
+        SweepRow(scheme, budget, m, r_th, *summaries[m, r_th], trials, seed)
+        for scheme, budget, m, r_th in points
+    ]
 
 
 SWEEP_CSV_HEADER = "scheme,budget,m,r_th,mean_time_s,std_err_s,trials,seed"

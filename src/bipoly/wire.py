@@ -5,8 +5,9 @@ Every file is a sequence of little-endian unsigned 64-bit words:
     header (11 words): magic, version, q, K, L, T, m, N, r, s, c
 
 followed by fixed-size records of field elements and small integers.
-K must divide r and L must divide c, so that the blocks below have
-whole shapes; both dumps and loads reject dims that do not divide.
+r and c must be at least 1, K must divide r and L must divide c, so
+that every product block below has a whole, nonempty shape; dumps,
+loads and encode reject any other dims.
 
 Share files hold N records of
     worker_id, x, y, A-share (r/K * s words, row-major),
@@ -111,6 +112,9 @@ class _Record(NamedTuple):
 def _layout(params: SchemeParams, dims: tuple[int, int, int]) -> dict[str, _Record]:
     """The share and result record layouts that a header describes."""
     r, s, c = dims
+    for name, dim in (("r", r), ("c", c)):
+        if dim < 1:
+            raise WireFormatError(f"dims need {name} >= 1 for a product block, got {name}={dim}")
     if r % params.K:
         raise WireFormatError(f"K | r violated: K={params.K} does not divide r={r}")
     if c % params.L:

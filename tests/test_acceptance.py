@@ -263,19 +263,17 @@ def test_c6_homogeneous_curve():
 
 
 def test_c7_order_statistics_oracle():
-    from bipoly.simulator import SimConfig, WorkerClass, expected_time
+    from bipoly.simulator import WorkerClass, _completion_times, _durations
 
     n, r, lam, nu = 20, 10, 1.0, 0.1
-    cfg = SimConfig(
-        classes=(WorkerClass(count=n, lam=lam, nu=nu),),
-        scheme_rth=r, m=1, trials=100_000, seed=7,
-    )
-    res = expected_time(cfg)
+    classes = (WorkerClass(count=n, lam=lam, nu=nu),)
+    durations = _durations(classes, 100_000, np.random.default_rng(7))
+    mean = float(_completion_times(durations, 1, [r])[0].mean())
     harmonic = lambda k: sum(1.0 / i for i in range(1, k + 1))
     want = nu + (harmonic(n) - harmonic(n - r)) / lam
-    err = abs(res.mean_time - want) / want
+    err = abs(mean - want) / want
     _report(7, "single-class mean matches the order-statistics closed form",
-            err <= 0.02, f"mean {res.mean_time:.5f} vs {want:.5f}, err {err:.3%}")
+            err <= 0.02, f"mean {mean:.5f} vs {want:.5f}, err {err:.3%}")
 
 
 # -- 8: degree-sum consistency ------------------------------------------------

@@ -144,12 +144,16 @@ SIM_CONFIG = {
 }
 
 
-def write_sim_config(path, skip=None):
-    """SIM_CONFIG as a config file, without the (section, key) in skip."""
+def write_sim_config(path, skip=None, values=None):
+    """SIM_CONFIG as a config file, without the (section, key) in skip
+    and with each (section, key): value of values set or added."""
+    sections = {name: dict(keys) for name, keys in SIM_CONFIG.items()}
+    for (name, k), v in (values or {}).items():
+        sections[name][k] = v
     path.write_text("".join(
         f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()
                                  if (name, k) != skip)
-        for name, keys in SIM_CONFIG.items()
+        for name, keys in sections.items()
     ))
     return str(path)
 
@@ -166,6 +170,25 @@ def test_simulate_config_missing_key_names_it(tmp_path, capsys, section, key):
     code, _, err = run(["simulate", "--config", cfg], capsys)
     assert code == 1
     assert f"[{section}]" in err and f"'{key}'" in err
+
+
+@pytest.mark.parametrize("section, key, value, reason", [
+    ("class.only", "count", "many", "invalid literal for int()"),
+    ("class.only", "nu", "slow", "could not convert string to float"),
+    ("sim", "seed", "zero", "invalid literal for int()"),
+    ("sim", "budgets", "2-", "budget '2-' in '2-' is not an integer or a lo-hi range"),
+])
+def test_simulate_config_bad_value_names_it(tmp_path, capsys, section, key, value, reason):
+    cfg = write_sim_config(tmp_path / "bad.cfg", values={(section, key): value})
+    code, _, err = run(["simulate", "--config", cfg], capsys)
+    assert code == 1
+    assert f"bad.cfg: [{section}] {key} = {value!r}: {reason}" in err
+
+
+def test_thresholds_names_a_bad_budget(capsys):
+    code, _, err = run(["thresholds", "--budgets", "2-x"], capsys)
+    assert code == 1
+    assert "budget '2-x' in '2-x' is not an integer or a lo-hi range" in err
 
 
 def test_simulate_complete_config_runs(tmp_path, capsys):
@@ -208,6 +231,18 @@ def test_privacy_degenerate_fails_with_witness(capsys):
     assert code == 2
     assert "witness" in out
     assert out.strip().endswith("FAIL")
+
+
+def test_privacy_limit_applies_only_when_the_sweep_enumerates(capsys):
+    # Every point passes, so C(200, 4) coalitions are counted, not listed;
+    # the degenerate draw must list them and is refused by name instead.
+    args = ["privacy", "--N", "200", "--T", "4", "--sweeps", "1", "--seed", "0"]
+    code, out, _ = run(args, capsys)
+    assert code == 0
+    assert out == "sweep 0: PASS (64684950 subsets)\nPASS\n"
+    code, out, err = run(args + ["--allow-degenerate"], capsys)
+    assert code == 1
+    assert "C(200,4) = 64684950 subsets exceed the enumeration limit 2000000" in err
 
 
 # Recorded before simulate's sweep was shared across schemes and budgets,

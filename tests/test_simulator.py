@@ -10,14 +10,12 @@ from bipoly.simulator import (
     GASP,
     PROPOSED,
     SWEEP_CSV_HEADER,
-    SimConfig,
     WorkerClass,
     _completion_times,
     _durations,
+    _summary,
     budget_sweep,
-    expected_time,
     scheme_point,
-    simulate_once,
     sweep_rows_to_csv,
 )
 
@@ -30,53 +28,46 @@ def one_class(count, lam, nu):
     return (WorkerClass(count=count, lam=lam, nu=nu),)
 
 
-def test_simulate_once_single_worker_is_one_draw():
-    cfg = SimConfig(one_class(1, 1.5, 0.2), scheme_rth=1, m=1, trials=1, seed=0)
-    t = simulate_once(cfg, np.random.default_rng(9))
+def point_times(classes, m, r_th, trials, seed):
+    """Per-trial completion times of one (m, threshold) point."""
+    durations = _durations(classes, trials, np.random.default_rng(seed))
+    return _completion_times(durations, m, [r_th])[0]
+
+
+def test_single_worker_single_trial_is_one_draw():
+    t = point_times(one_class(1, 1.5, 0.2), m=1, r_th=1, trials=1, seed=9)
     # inverse CDF of nu + Exp(lam) on one uniform draw
     u = np.random.default_rng(9).random()
-    assert t == 0.2 + -math.log1p(-u) / 1.5
-
-
-def test_simulate_once_incompletable():
-    cfg = SimConfig(one_class(3, 1.0, 0.0), scheme_rth=7, m=2, trials=1, seed=0)
-    with pytest.raises(IncompletableError):
-        simulate_once(cfg, np.random.default_rng(0))
-    with pytest.raises(IncompletableError):
-        expected_time(cfg)
+    assert t.tolist() == [0.2 + -math.log1p(-u) / 1.5]
 
 
 def test_expected_time_matches_order_statistics():
     # m = 1: completion is the R-th order statistic of N shifted
     # exponentials, whose mean is nu + (H_N - H_{N-R}) / lam
-    cfg = SimConfig(one_class(10, 2.0, 0.3), scheme_rth=6, m=1, trials=30_000, seed=5)
-    res = expected_time(cfg)
+    times = point_times(one_class(10, 2.0, 0.3), m=1, r_th=6, trials=30_000, seed=5)
     want = 0.3 + (harmonic(10) - harmonic(4)) / 2.0
-    assert res.mean_time == pytest.approx(want, rel=0.02)
+    assert times.mean() == pytest.approx(want, rel=0.02)
 
 
 def test_expected_time_single_trial():
-    cfg = SimConfig(one_class(2, 1.0, 0.0), scheme_rth=1, m=1, trials=1, seed=1)
-    res = expected_time(cfg)
-    assert res.std_error == 0.0
+    p = SchemeParams(K=5, L=5, T=3, m=1, N=51, q=2**31 - 1)
+    rows = budget_sweep(one_class(51, 1.0, 0.0), p, [2, 6], (PROPOSED, GASP), 1, 1)
+    assert [r.std_err_s for r in rows] == [0.0] * 4
 
 
 def test_expected_time_deterministic_per_seed():
-    cfg = SimConfig(one_class(12, 0.8, 0.1), scheme_rth=20, m=2, trials=400, seed=77)
-    first = expected_time(cfg, keep_times=True)
-    again = expected_time(cfg, keep_times=True)
-    assert first.per_trial_times.shape == (400,)
-    assert np.array_equal(first.per_trial_times, again.per_trial_times)
-    assert first.mean_time == again.mean_time
+    first = point_times(one_class(12, 0.8, 0.1), m=2, r_th=20, trials=400, seed=77)
+    again = point_times(one_class(12, 0.8, 0.1), m=2, r_th=20, trials=400, seed=77)
+    assert first.shape == (400,)
+    assert np.array_equal(first, again)
 
 
 def test_expected_time_matches_per_trial_loop():
     # One (trials x N) uniform draw, class by class; trial t completes at
-    # the scheme_rth-th smallest of j * duration over workers and j <= m.
+    # the threshold-th smallest of j * duration over workers and j <= m.
     classes = (WorkerClass(3, 2.0, 0.1), WorkerClass(4, 0.5, 0.3))
     trials = 5000  # more than one partial-sort block
-    cfg = SimConfig(classes, scheme_rth=9, m=2, trials=trials, seed=11)
-    got = expected_time(cfg, keep_times=True).per_trial_times
+    got = point_times(classes, m=2, r_th=9, trials=trials, seed=11)
     rng = np.random.default_rng(11)
     u = [rng.random((trials, c.count)) for c in classes]
     for t in range(trials):
@@ -86,21 +77,18 @@ def test_expected_time_matches_per_trial_loop():
 
 
 def test_expected_time_different_seed_different_draws():
-    cfg = SimConfig(one_class(12, 0.8, 0.1), scheme_rth=20, m=2, trials=400, seed=77)
-    other = SimConfig(cfg.classes, scheme_rth=20, m=2, trials=400, seed=78)
-    a = expected_time(cfg, keep_times=True).per_trial_times
-    b = expected_time(other, keep_times=True).per_trial_times
+    a = point_times(one_class(12, 0.8, 0.1), m=2, r_th=20, trials=400, seed=77)
+    b = point_times(one_class(12, 0.8, 0.1), m=2, r_th=20, trials=400, seed=78)
     assert not np.array_equal(a, b)
 
 
 def test_completion_monotone_in_m():
-    base = dict(scheme_rth=18, trials=3000, seed=13)
     means = []
     errs = []
     for m in (1, 2, 3):
-        res = expected_time(SimConfig(one_class(18, 1.0, 0.2), m=m, **base))
-        means.append(res.mean_time)
-        errs.append(res.std_error)
+        mean, err = _summary(point_times(one_class(18, 1.0, 0.2), m, 18, 3000, 13))
+        means.append(mean)
+        errs.append(err)
     assert means[1] <= means[0] + 2 * (errs[0] + errs[1])
     assert means[2] <= means[1] + 2 * (errs[1] + errs[2])
 
@@ -109,11 +97,9 @@ def test_completion_monotone_in_threshold():
     means = []
     errs = []
     for rth in (5, 10, 15):
-        res = expected_time(
-            SimConfig(one_class(10, 1.0, 0.1), scheme_rth=rth, m=2, trials=3000, seed=3)
-        )
-        means.append(res.mean_time)
-        errs.append(res.std_error)
+        mean, err = _summary(point_times(one_class(10, 1.0, 0.1), 2, rth, 3000, 3))
+        means.append(mean)
+        errs.append(err)
     assert means[0] <= means[1] + 2 * (errs[0] + errs[1])
     assert means[1] <= means[2] + 2 * (errs[1] + errs[2])
 
@@ -158,8 +144,8 @@ def test_budget_sweep_rows_equal_expected_time_per_point(config):
     ]
     for r in rows:
         assert (r.m, r.r_th) == scheme_point(r.scheme, r.budget, cfg["params"])
-        want = expected_time(SimConfig(cfg["classes"], r.r_th, r.m, trials, seed))
-        assert (r.mean_time_s, r.std_err_s) == (want.mean_time, want.std_error)
+        want = _summary(point_times(cfg["classes"], r.m, r.r_th, trials, seed))
+        assert (r.mean_time_s, r.std_err_s) == want
 
 
 def test_completion_times_many_thresholds_equal_single_calls():

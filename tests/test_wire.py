@@ -7,7 +7,7 @@ import pytest
 
 from bipoly import wire
 from bipoly.bivariate import EvalPoint, SchemeParams
-from bipoly.errors import WireFormatError
+from bipoly.errors import BipolyError, WireFormatError
 from bipoly.scheme import compute_all, decode, encode, random_prefix_subset, recovery_threshold
 
 BIG_PRIME = 4611686018427387847
@@ -244,6 +244,28 @@ def test_loaders_reject_dims_that_do_not_divide(index, value, match):
         wire.load_shares(_with_word(wire.dump_shares(p, dims, shares), index, value))
     with pytest.raises(WireFormatError, match=match):
         wire.load_results(_with_word(wire.dump_results(p, dims, results), index, value))
+
+
+@pytest.mark.parametrize("index, name", [(8, "r"), (10, "c")])
+def test_zero_row_or_column_dims_are_refused(index, name):
+    # A zero r or c leaves result records without a product, so a load
+    # would read the product words as extra empty records.
+    p, dims, shares, results = pipeline(101)
+    match = f"dims need {name} >= 1 for a product block, got {name}=0"
+    with pytest.raises(WireFormatError, match=match):
+        wire.load_results(_with_word(wire.dump_results(p, dims, results), index, 0))
+    with pytest.raises(WireFormatError, match=match):
+        wire.load_shares(_with_word(wire.dump_shares(p, dims, shares), index, 0))
+    zeroed = (0, 6, 4) if name == "r" else (4, 6, 0)
+    with pytest.raises(WireFormatError, match=match):
+        wire.dump_results(p, zeroed, [])
+
+
+def test_encode_refuses_an_operand_with_no_rows():
+    p = SchemeParams(K=2, L=2, T=1, m=2, N=5, q=101)
+    b = p.field.random_matrix(np.random.default_rng(0), 4, 4)
+    with pytest.raises(BipolyError, match="dims need r >= 1"):
+        encode(p, np.zeros((0, 4), dtype=np.int64), b, np.random.default_rng(1))
 
 
 @pytest.mark.parametrize("index, value, match", [
