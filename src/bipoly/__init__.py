@@ -29,7 +29,6 @@ from .scheme import (
     encode,
     failure_bound_d,
     max_m_for_budget,
-    partition,
     random_prefix_subset,
     recovery_threshold,
     sample_points,
@@ -74,7 +73,6 @@ __all__ = [
     "is_prime",
     "mask_matrices",
     "max_m_for_budget",
-    "partition",
     "perfect_privacy_check",
     "prime_field",
     "random_prefix_subset",

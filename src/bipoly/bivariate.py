@@ -161,8 +161,8 @@ def generators(
     K partitions, then the T masks R[t].  gen_b has one row per (point,
     order), order < m, point by point, over the columns y^0 .. y^(L-1)
     for the partitions, then x^(K+t) y^j for the masks S[t][j].  These
-    are the row orders of stack_coefficients_a and stack_coefficients_b,
-    so each generator times its stacked coefficients gives the shares.
+    are the row orders of the coefficient matrices scheme.encode
+    assembles, so each generator times its coefficients gives the shares.
     """
     columns_a = [(k, 0) for k in range(K + T)]
     columns_b = [(0, j) for j in range(L)] + [(K + t, j) for t in range(T) for j in range(m)]
@@ -173,44 +173,24 @@ def generators(
     return gen_a, gen_b
 
 
-def _stack(blocks: Sequence[np.ndarray], what: str, field: PrimeField) -> np.ndarray:
-    """One canonical row per coefficient block, each block flattened."""
-    shapes = {blk.shape for blk in blocks}
-    if len(shapes) > 1:
-        raise DimensionMismatchError(f"{what} blocks disagree in shape: {shapes}")
-    return field.asarray(np.stack(blocks).reshape(len(blocks), -1))
+def _block_array(blocks, counts: tuple, what: str, field: PrimeField, shape=None) -> np.ndarray:
+    """Nested sequences of blocks as one canonical array of shape counts + block shape.
 
-
-def stack_coefficients_a(
-    params: SchemeParams,
-    parts_a: Sequence[np.ndarray],
-    masks_r: Sequence[np.ndarray],
-) -> np.ndarray:
-    """(K+T) x (block size) coefficients of the masked left polynomial."""
-    if len(parts_a) != params.K or len(masks_r) != params.T:
-        raise DimensionMismatchError(
-            f"expected {params.K} partitions and {params.T} masks, "
-            f"got {len(parts_a)} and {len(masks_r)}"
-        )
-    return _stack(list(parts_a) + list(masks_r), "left-matrix", params.field)
-
-
-def stack_coefficients_b(
-    params: SchemeParams,
-    parts_b: Sequence[np.ndarray],
-    masks_s: Sequence[Sequence[np.ndarray]],
-) -> np.ndarray:
-    """(L+T*m) x (block size) coefficients of the masked right polynomial."""
-    if len(parts_b) != params.L:
-        raise DimensionMismatchError(
-            f"expected {params.L} partitions, got {len(parts_b)}"
-        )
-    if len(masks_s) != params.T or any(len(row) != params.m for row in masks_s):
-        raise DimensionMismatchError(
-            f"expected a {params.T} x {params.m} mask grid"
-        )
-    flat = list(parts_b) + [s for row in masks_s for s in row]
-    return _stack(flat, "right-matrix", params.field)
+    `counts` gives the nesting: (T,) for the A-side masks, (T, m) for the
+    B side's.  Every block has `shape`, or the first block's shape; a
+    count or a shape that differs raises DimensionMismatchError naming `what`.
+    """
+    flat = [blocks]
+    for n in counts:
+        if any(len(level) != n for level in flat):
+            raise DimensionMismatchError(f"{what}: expected {' x '.join(map(str, counts))} blocks")
+        flat = [blk for level in flat for blk in level]
+    flat = [field.asarray(blk) for blk in flat]
+    shape = flat[0].shape if shape is None else shape
+    for blk in flat:
+        if blk.shape != shape:
+            raise DimensionMismatchError(f"{what}: a block of shape {blk.shape}, not {shape}")
+    return np.array(flat, dtype=np.int64).reshape(counts + shape)
 
 
 def eval_coded_a(
@@ -224,11 +204,12 @@ def eval_coded_a(
     The polynomial has the K partitions on x^0 .. x^(K-1) and the T
     masks on x^K .. x^(K+T-1).
     """
-    coeffs = stack_coefficients_a(params, parts_a, masks_r)
-    gen_a, _ = generators(
-        [EvalPoint(x, 0)], params.K, params.L, params.T, params.m, params.field
-    )
-    return mat_mul_mod(gen_a, coeffs, params.q).reshape(parts_a[0].shape)
+    field, K, L, T, m = params.field, params.K, params.L, params.T, params.m
+    parts = _block_array(parts_a, (K,), "A-side parts", field)
+    masks = _block_array(masks_r, (T,), "A-side masks", field, parts.shape[1:])
+    coeffs = np.concatenate([parts, masks]).reshape(K + T, parts[0].size)
+    gen_a, _ = generators([EvalPoint(x, 0)], K, L, T, m, field)
+    return mat_mul_mod(gen_a, coeffs, params.q).reshape(parts.shape[1:])
 
 
 def eval_coded_b_derivative(
@@ -245,13 +226,15 @@ def eval_coded_b_derivative(
     by a falling factorial of its y-degree; terms of y-degree below
     `order` vanish.
     """
-    if not 0 <= order < params.m:
-        raise InvalidOrderError(
-            f"derivative order {order} outside [0, {params.m - 1}]"
-        )
-    coeffs = stack_coefficients_b(params, parts_b, masks_s)
-    _, gen_b = generators([point], params.K, params.L, params.T, params.m, params.field)
-    return mat_mul_mod(gen_b[order : order + 1], coeffs, params.q).reshape(parts_b[0].shape)
+    field, K, L, T, m = params.field, params.K, params.L, params.T, params.m
+    if not 0 <= order < m:
+        raise InvalidOrderError(f"derivative order {order} outside [0, {m - 1}]")
+    parts = _block_array(parts_b, (L,), "B-side parts", field)
+    masks = _block_array(masks_s, (T, m), "B-side masks", field, parts.shape[1:])
+    blocks = np.concatenate([parts, masks.reshape((T * m,) + parts.shape[1:])])
+    coeffs = blocks.reshape(L + T * m, parts[0].size)
+    _, gen_b = generators([point], K, L, T, m, field)
+    return mat_mul_mod(gen_b[order : order + 1], coeffs, params.q).reshape(parts.shape[1:])
 
 
 def derivative_row(

@@ -3,7 +3,9 @@
 Exit codes: 0 success, 1 parameter/validation error, 2 runtime failure
 (decode mismatch or singular system), 3 incompletable simulation.
 Every file written is accompanied by a `<file>.manifest.json` capturing
-the exact inputs, so reruns are reproducible byte for byte.
+the exact inputs, so reruns are reproducible byte for byte.  The seed
+is `--seed`, default 0; `simulate` takes its config's seed before that
+default.
 """
 
 from __future__ import annotations
@@ -42,19 +44,6 @@ from .simulator import (
 _ENUMERABLE_MI_LIMITS = {"q": 7, "T": 2, "m": 2}
 
 
-def _resolve_seed(explicit: int | None, fallback: int = 0) -> int:
-    """Seed precedence: --seed flag, then BIPOLY_SEED, then the fallback."""
-    if explicit is not None:
-        return explicit
-    env = os.environ.get("BIPOLY_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ParameterError(f"BIPOLY_SEED={env!r} is not an integer") from None
-    return fallback
-
-
 def _parse_budgets(text: str) -> list[int]:
     """Accept '2-10' ranges and '2,4,6' lists, or a mix of both."""
     out: list[int] = []
@@ -75,12 +64,14 @@ def _parse_budgets(text: str) -> list[int]:
     return out
 
 
-def _write_output(path: str | None, text: str) -> None:
+def _write_output(path: str | None, text: str, subcommand: str, settings: dict) -> None:
+    """Write text to stdout, or to the file `path` with its manifest beside it."""
     if path is None or path == "-":
         sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        return
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    _write_manifest(path, subcommand, settings, [path])
 
 
 def _write_manifest(out_path: str, subcommand: str, settings: dict, outputs: list[str]) -> None:
@@ -102,7 +93,6 @@ def _write_manifest(out_path: str, subcommand: str, settings: dict, outputs: lis
 def _cmd_demo(args: argparse.Namespace) -> int:
     params = SchemeParams(K=args.K, L=args.L, T=args.T, m=args.m, N=args.N, q=args.q)
     field = params.field
-    args.seed = _resolve_seed(args.seed)
     rng = np.random.default_rng(args.seed)
     a = field.random_matrix(rng, args.r, args.s)
     b = field.random_matrix(rng, args.s, args.c)
@@ -146,15 +136,8 @@ def _cmd_thresholds(args: argparse.Namespace) -> int:
         pm, pr = scheme_point(PROPOSED, budget, params)
         gm, gr = scheme_point(GASP, budget, params)
         lines.append(f"{budget},{pm},{pr},{gm},{gr}")
-    text = "\n".join(lines) + "\n"
-    _write_output(args.out, text)
-    if args.out and args.out != "-":
-        _write_manifest(
-            args.out,
-            "thresholds",
-            {"K": args.K, "L": args.L, "T": args.T, "q": args.q, "budgets": budgets},
-            [args.out],
-        )
+    settings = {"K": args.K, "L": args.L, "T": args.T, "q": args.q, "budgets": budgets}
+    _write_output(args.out, "\n".join(lines) + "\n", "thresholds", settings)
     return 0
 
 
@@ -173,9 +156,9 @@ def _config_value(path: str, sec: configparser.SectionProxy, key: str, convert):
 def load_sim_config(path: str) -> dict:
     """Parse a key=value simulation config.
 
-    Sections: [scheme] with K, L, T, q; [sim] with trials, budgets and an
-    optional seed; one [class.NAME] per worker class with count, lambda,
-    nu.  A missing key, or a value that does not parse, raises
+    Sections: [scheme] with K, L, T, q; [sim] with trials, budgets
+    (default 2-10) and seed (default 0); one [class.NAME] per worker
+    class with count, lambda, nu.  A missing key, or a value that does not parse, raises
     ParameterError naming the file, the section and the key.  Bundled
     configs can be named directly ('heterogeneous' or 'homogeneous').
     """
@@ -216,38 +199,27 @@ def load_sim_config(path: str) -> dict:
     )
     sim_sec = parser["sim"]
     sim_sec.setdefault("budgets", "2-10")
+    sim_sec.setdefault("seed", "0")
     return {
         "params": params,
         "classes": classes,
         "trials": _config_value(path, sim_sec, "trials", int),
         "budgets": _config_value(path, sim_sec, "budgets", _parse_budgets),
-        "seed": _config_value(path, sim_sec, "seed", int) if "seed" in sim_sec else None,
+        "seed": _config_value(path, sim_sec, "seed", int),
     }
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = load_sim_config(args.config)
     trials = args.trials if args.trials is not None else cfg["trials"]
-    seed = _resolve_seed(args.seed, fallback=cfg["seed"] if cfg["seed"] is not None else 0)
+    seed = args.seed if args.seed is not None else cfg["seed"]
     schemes = [PROPOSED, GASP] if args.scheme == "both" else [args.scheme]
     rows = budget_sweep(
         cfg["classes"], cfg["params"], cfg["budgets"], schemes, trials, seed
     )
-    text = sweep_rows_to_csv(rows)
-    _write_output(args.out, text)
-    if args.out and args.out != "-":
-        _write_manifest(
-            args.out,
-            "simulate",
-            {
-                "config": args.config,
-                "scheme": args.scheme,
-                "trials": trials,
-                "seed": seed,
-                "budgets": cfg["budgets"],
-            },
-            [args.out],
-        )
+    settings = {"config": args.config, "scheme": args.scheme, "trials": trials,
+                "seed": seed, "budgets": cfg["budgets"]}
+    _write_output(args.out, sweep_rows_to_csv(rows), "simulate", settings)
     return 0
 
 
@@ -258,7 +230,6 @@ def _cmd_privacy(args: argparse.Namespace) -> int:
     params = SchemeParams(K=args.K, L=args.L, T=args.T, m=args.m, N=args.N, q=args.q)
     if args.sweeps < 1:
         raise ParameterError(f"sweeps must be >= 1, got {args.sweeps}")
-    args.seed = _resolve_seed(args.seed)
     rng = np.random.default_rng(args.seed)
     overall_pass = True
     for sweep_idx in range(args.sweeps):
@@ -328,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
         {"K": 5, "L": 5, "T": 3, "m": 5, "N": 51, "q": 2147483647,
          "r": 100, "s": 100, "c": 100},
     )
-    demo.add_argument("--seed", type=int, default=None)
+    demo.add_argument("--seed", type=int, default=0)
     demo.add_argument("--dump", metavar="PREFIX",
                       help="write shares/results as PREFIX.{shares,results}.bin")
     demo.set_defaults(func=_cmd_demo)
@@ -360,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scheme_args(privacy, {"K": 5, "L": 5, "T": 3, "m": 5, "N": 51,
                                "q": 2147483647})
     privacy.add_argument("--sweeps", type=int, default=10)
-    privacy.add_argument("--seed", type=int, default=None)
+    privacy.add_argument("--seed", type=int, default=0)
     privacy.add_argument("--allow-degenerate", action="store_true",
                          help="inject a degenerate point draw to demo a FAIL witness")
     privacy.set_defaults(func=_cmd_privacy)

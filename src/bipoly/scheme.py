@@ -1,10 +1,11 @@
 """End-to-end coded multiplication: encode, worker products, decode.
 
 The master splits A into K row blocks and B into L column blocks, masks
-them with uniform random matrices, and hands worker i one evaluation of
-the left polynomial plus the first m y-derivatives of the right
-polynomial at a private point (x_i, y_i).  Every sub-task result is one
-dense block product; any recovery_threshold() of them, taken in
+them with uniform random matrices (encode's two coefficient matrices,
+reshapes of A and B over one mask draw per side), and hands worker i one
+evaluation of the left polynomial plus the first m y-derivatives of the
+right polynomial at a private point (x_i, y_i).  Every sub-task result
+is one dense block product; any recovery_threshold() of them, taken in
 per-worker derivative order, pin down all K*L blocks of A @ B through
 one square linear solve.
 """
@@ -24,8 +25,7 @@ from .bivariate import (
     build_support,
     derivative_matrix,
     generators,
-    stack_coefficients_a,
-    stack_coefficients_b,
+    _block_array,
 )
 from .errors import (
     BipolyError,
@@ -56,9 +56,11 @@ class DecodedProduct:
 
 
 class Encoding(NamedTuple):
+    """The worker shares, and the masks R (T, r/K, s) and S (T, m, s, c/L)."""
+
     shares: ShareSet
-    masks_r: list[np.ndarray]
-    masks_s: list[list[np.ndarray]]
+    masks_r: np.ndarray
+    masks_s: np.ndarray
 
 
 def recovery_threshold(params: SchemeParams) -> int:
@@ -121,29 +123,6 @@ def _array(value, what: str) -> np.ndarray:
         raise DimensionMismatchError(
             f"{what} is a ragged nested sequence, not a rectangular array"
         ) from None
-
-
-def partition(
-    params: SchemeParams, a: np.ndarray, b: np.ndarray
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Row blocks of A (height r/K) and column blocks of B (width c/L)."""
-    a, b = _array(a, "A"), _array(b, "B")
-    for name, operand in (("A", a), ("B", b)):
-        if operand.ndim != 2:
-            raise DimensionMismatchError(
-                f"{name} must be a 2-D matrix, got shape {operand.shape}"
-            )
-    r, s = a.shape
-    s2, c = b.shape
-    if s != s2:
-        raise IndivisibleDimensionsError(
-            f"inner dimensions differ: A is {a.shape}, B is {b.shape}"
-        )
-    _check_divisible(params, r, c)
-    br, bc = r // params.K, c // params.L
-    parts_a = [a[i * br : (i + 1) * br, :].copy() for i in range(params.K)]
-    parts_b = [b[:, j * bc : (j + 1) * bc].copy() for j in range(params.L)]
-    return parts_a, parts_b
 
 
 def sample_points(params: SchemeParams, rng: np.random.Generator) -> list[EvalPoint]:
@@ -228,45 +207,49 @@ def encode(
     Masks default to fresh uniform draws; points default to
     sample_points().  Both can be injected for deterministic tests;
     injected points must be field elements and, with T >= 1, have
-    nonzero, pairwise distinct x.  The returned masks exist for test
-    instrumentation only and must never be serialized alongside
-    worker-facing data.
+    nonzero, pairwise distinct x; injected masks must be T blocks of
+    shape (r/K, s) and a T x m grid of (s, c/L).  The returned masks
+    exist for test instrumentation only and must never be serialized
+    alongside worker-facing data.
     """
-    field = params.field
-    parts_a, parts_b = partition(params, a, b)
-    br, s = parts_a[0].shape
-    bc = parts_b[0].shape[1]
+    a, b = _array(a, "A"), _array(b, "B")
+    for name, operand in (("A", a), ("B", b)):
+        if operand.ndim != 2:
+            raise DimensionMismatchError(f"{name} must be a 2-D matrix, got shape {operand.shape}")
+    (r, s), c = a.shape, b.shape[1]
+    if b.shape[0] != s:
+        raise IndivisibleDimensionsError(f"inner dimensions differ: A is {a.shape}, B is {b.shape}")
+    _check_divisible(params, r, c)
+    field, K, L, T, m = params.field, params.K, params.L, params.T, params.m
+    br, bc = r // K, c // L
     if rng is None and (points is None or masks_r is None or masks_s is None):
-        raise ParameterError(
-            "encode needs an rng when points or masks are not supplied"
-        )
+        raise ParameterError("encode needs an rng when points or masks are not supplied")
     if points is None:
         points = sample_points(params, rng)
     else:
         _check_points(params, points)
     # Drawn masks are canonical already; only injected ones are reduced.
     if masks_r is None:
-        masks_r = [field.random_matrix(rng, br, s) for _ in range(params.T)]
+        masks_r = rng.integers(0, params.q, size=(T, br, s), dtype=np.int64)
     else:
-        masks_r = [field.asarray(mk) for mk in masks_r]
+        masks_r = _block_array(masks_r, (T,), "A-side masks", field, (br, s))
     if masks_s is None:
-        masks_s = [
-            [field.random_matrix(rng, s, bc) for _ in range(params.m)]
-            for _ in range(params.T)
-        ]
+        masks_s = rng.integers(0, params.q, size=(T, m, s, bc), dtype=np.int64)
     else:
-        masks_s = [[field.asarray(mk) for mk in row] for row in masks_s]
-    # Shares are generator rows times stacked coefficients: one kernel
-    # call per side for all N workers, written straight into the share
-    # records of the wire blob, so each share is a read-only view of its
-    # worker's record.
-    coeffs_a = stack_coefficients_a(params, parts_a, masks_r)
-    coeffs_b = stack_coefficients_b(params, parts_b, masks_s)
-    gen_a, gen_b = generators(points, params.K, params.L, params.T, params.m, field)
-    shares, side_a, side_b = share_set(params, (params.K * br, s, params.L * bc), points)
+        masks_s = _block_array(masks_s, (T, m), "B-side masks", field, (s, bc))
+    # Coefficient rows in bivariate.generators' column order, blocks
+    # flattened: A's K row blocks, then R[t]; B's L column blocks, then
+    # S[t][j], t-major.  Shares are generators times coefficients, one
+    # kernel call per side for all N workers, written straight into the
+    # wire blob, so each share is a read-only view of its worker's record.
+    coeffs_a = np.concatenate([field.asarray(a).reshape(K, br * s), masks_r.reshape(T, br * s)])
+    blocks_b = field.asarray(b).reshape(s, L, bc).transpose(1, 0, 2).reshape(L, s * bc)
+    coeffs_b = np.concatenate([blocks_b, masks_s.reshape(T * m, s * bc)])
+    gen_a, gen_b = generators(points, K, L, T, m, field)
+    shares, side_a, side_b = share_set(params, (r, s, c), points)
     mat_mul_mod(gen_a, coeffs_a, params.q, out=side_a)
     mat_mul_mod(gen_b, coeffs_b, params.q, out=side_b)
-    return Encoding(shares, list(masks_r), [list(row) for row in masks_s])
+    return Encoding(shares, masks_r, masks_s)
 
 
 def worker_compute(share: WorkerShare, order: int) -> PartialResult:

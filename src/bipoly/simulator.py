@@ -45,10 +45,11 @@ class WorkerClass:
     def __post_init__(self):
         if self.count < 1:
             raise ParameterError(f"worker class count must be >= 1, got {self.count}")
-        if self.lam <= 0:
-            raise ParameterError(f"rate lam must be > 0, got {self.lam}")
-        if self.nu < 0:
-            raise ParameterError(f"shift nu must be >= 0, got {self.nu}")
+        # NaN fails every comparison, so each check is written to pass.
+        if not (math.isfinite(self.lam) and self.lam > 0):
+            raise ParameterError(f"rate lam must be a finite number > 0, got {self.lam}")
+        if not (math.isfinite(self.nu) and self.nu >= 0):
+            raise ParameterError(f"shift nu must be a finite number >= 0, got {self.nu}")
 
 
 def _durations(

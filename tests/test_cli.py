@@ -54,19 +54,6 @@ def test_demo_dump_files_load(tmp_path, capsys):
     assert os.path.exists(prefix + ".shares.bin.manifest.json")
 
 
-def test_demo_seed_env_matches_flag(tmp_path, capsys, monkeypatch):
-    p1 = str(tmp_path / "a")
-    run(SMALL_DEMO + ["--seed", "11", "--dump", p1], capsys)
-    p2 = str(tmp_path / "b")
-    monkeypatch.setenv("BIPOLY_SEED", "11")
-    run(SMALL_DEMO + ["--dump", p2], capsys)
-    with open(p1 + ".shares.bin", "rb") as fh:
-        blob1 = fh.read()
-    with open(p2 + ".shares.bin", "rb") as fh:
-        blob2 = fh.read()
-    assert blob1 == blob2
-
-
 def test_thresholds_stdout_default_params(capsys):
     code, out, _ = run(["thresholds"], capsys)
     assert code == 0
@@ -183,6 +170,17 @@ def test_simulate_config_bad_value_names_it(tmp_path, capsys, section, key, valu
     code, _, err = run(["simulate", "--config", cfg], capsys)
     assert code == 1
     assert f"bad.cfg: [{section}] {key} = {value!r}: {reason}" in err
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("lambda", "nan", "rate lam must be a finite number > 0, got nan"),
+    ("nu", "inf", "shift nu must be a finite number >= 0, got inf"),
+])
+def test_simulate_refuses_a_non_finite_worker_class(tmp_path, capsys, key, value, message):
+    cfg = write_sim_config(tmp_path / "nan.cfg", values={("class.only", key): value})
+    code, out, err = run(["simulate", "--config", cfg], capsys)
+    assert code == 1 and out == ""
+    assert message in err
 
 
 def test_thresholds_names_a_bad_budget(capsys):

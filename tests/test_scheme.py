@@ -28,7 +28,6 @@ from bipoly.scheme import (
     field_element_bits,
     interpolation_matrix,
     max_m_for_budget,
-    partition,
     random_prefix_subset,
     recovery_threshold,
     sample_points,
@@ -55,38 +54,74 @@ def run_pipeline(p, r, s, c, seed=0):
     return a, b, enc, results, rng
 
 
-# -- partitioning ----------------------------------------------------------
+# -- coefficient assembly ------------------------------------------------
 
 
-def test_partition_identity_case():
-    p = make_params(1, 1, 0, 1, 1, q=101)
+def test_encode_identity_case():
+    # K = L = 1 and T = 0: every share is the whole operand, at any point.
+    p = make_params(1, 1, 0, 1, 2, q=101)
     f = p.field
     rng = np.random.default_rng(0)
     a = f.random_matrix(rng, 3, 4)
     b = f.random_matrix(rng, 4, 5)
-    parts_a, parts_b = partition(p, a, b)
-    assert len(parts_a) == 1 and np.array_equal(parts_a[0], a)
-    assert len(parts_b) == 1 and np.array_equal(parts_b[0], b)
+    for sh in encode(p, a, b, rng).shares:
+        assert np.array_equal(sh.share_a, a)
+        assert len(sh.shares_b) == 1 and np.array_equal(sh.shares_b[0], b)
 
 
-def test_partition_layout_and_reassembly():
-    p = make_params(2, 2, 0, 1, 1, q=101)
-    f = p.field
-    rng = np.random.default_rng(1)
-    a = f.random_matrix(rng, 4, 3)
-    b = f.random_matrix(rng, 3, 6)
-    parts_a, parts_b = partition(p, a, b)
-    assert np.array_equal(parts_a[0], a[:2])
-    assert np.array_equal(parts_a[1], a[2:])
-    assert np.array_equal(np.concatenate(parts_a, axis=0), a)
-    assert np.array_equal(np.concatenate(parts_b, axis=1), b)
+def test_encode_block_layout():
+    # Row blocks of A and column blocks of B, sliced here, against every
+    # share of a masked encoding with two derivative shares per worker.
+    p = make_params(2, 3, 1, 2, 6, q=101)
+    a, b, enc, _, _ = run_pipeline(p, 4, 3, 6, seed=1)
+    parts_a, parts_b = _blocks(p, a, b)
+    assert enc.masks_r.shape == (1, 2, 3) and enc.masks_s.shape == (1, 2, 3, 2)
+    for sh in enc.shares:
+        want_a = _share_a_by_python_ints(p, parts_a, enc.masks_r, sh.point.x)
+        assert np.array_equal(sh.share_a, want_a)
+        for order, blk in enumerate(sh.shares_b):
+            want_b = _share_b_by_python_ints(p, parts_b, enc.masks_s, sh.point, order)
+            assert np.array_equal(blk, want_b)
 
 
-def test_partition_rejects_indivisible():
-    p = make_params(3, 1, 0, 1, 1, q=101)
-    f = p.field
-    with pytest.raises(IndivisibleDimensionsError):
-        partition(p, f.zeros(4, 2), f.zeros(2, 2))
+def test_encode_rejects_indivisible():
+    f = prime_field(101)
+    rng = np.random.default_rng(0)
+    with pytest.raises(IndivisibleDimensionsError, match="K=3 does not divide r=4"):
+        encode(make_params(3, 1, 0, 1, 1, q=101), f.zeros(4, 2), f.zeros(2, 2), rng)
+    with pytest.raises(IndivisibleDimensionsError, match="L=2 does not divide c=3"):
+        encode(make_params(1, 2, 0, 1, 1, q=101), f.zeros(4, 2), f.zeros(2, 3), rng)
+
+
+def _zeros(*shape):
+    return np.zeros(shape, dtype=np.int64)
+
+
+# T = 2 and m = 2 on a (4, 3) @ (3, 4) product with K = L = 2: masks_r
+# holds 2 blocks of (2, 3), masks_s a 2 x 2 grid of (3, 2) blocks.
+GOOD_R, GOOD_S = [_zeros(2, 3)] * 2, [[_zeros(3, 2)] * 2] * 2
+
+
+@pytest.mark.parametrize(
+    "masks_r, masks_s, message",
+    [
+        ([_zeros(2, 3)], GOOD_S, "A-side masks: expected 2 blocks"),
+        ([_zeros(2, 3), _zeros(3, 2)], GOOD_S,
+         r"A-side masks: a block of shape \(3, 2\), not \(2, 3\)"),
+        (GOOD_R, [[_zeros(3, 2)] * 2], "B-side masks: expected 2 x 2 blocks"),
+        (GOOD_R, [[_zeros(3, 2)]] * 2, "B-side masks: expected 2 x 2 blocks"),
+        (GOOD_R, [[_zeros(3, 2), _zeros(3, 3)]] * 2,
+         r"B-side masks: a block of shape \(3, 3\), not \(3, 2\)"),
+    ],
+)
+def test_encode_names_the_side_of_injected_masks_of_wrong_count_or_shape(
+    masks_r, masks_s, message
+):
+    p = make_params(2, 2, 2, 2, 8, q=101)
+    a, b, rng = _zeros(4, 3), _zeros(3, 4), np.random.default_rng(0)
+    encode(p, a, b, rng, masks_r=GOOD_R, masks_s=GOOD_S)
+    with pytest.raises(DimensionMismatchError, match=f"^{message}$"):
+        encode(p, a, b, rng, masks_r=masks_r, masks_s=masks_s)
 
 
 @pytest.mark.parametrize("side", ["A", "B"])
@@ -360,6 +395,14 @@ def test_worker_compute_takes_list_blocks():
         worker_compute(replace(listed, shares_b=(listed.shares_b[0][:-1],)), 0)
 
 
+def _blocks(p, a, b):
+    """The K row blocks of A and the L column blocks of B, sliced one by one."""
+    br, bc = a.shape[0] // p.K, b.shape[1] // p.L
+    parts_a = [a[i * br : (i + 1) * br, :] for i in range(p.K)]
+    parts_b = [b[:, j * bc : (j + 1) * bc] for j in range(p.L)]
+    return parts_a, parts_b
+
+
 def _share_a_by_python_ints(p, parts_a, masks_r, x):
     blocks = list(parts_a) + list(masks_r)
     return sum(blk.astype(object) * pow(x, e, p.q) for e, blk in enumerate(blocks)) % p.q
@@ -382,7 +425,7 @@ def test_encode_and_compute_span_several_column_tiles(q):
     # one column tile of the kernel, on its float64 and Python-int paths.
     p = make_params(2, 2, 1, 2, 40, q=q)
     a, b, enc, results, _ = run_pipeline(p, 60, 30, 40, seed=12)
-    parts_a, parts_b = partition(p, a, b)
+    parts_a, parts_b = _blocks(p, a, b)
     for sh in enc.shares:
         want_a = _share_a_by_python_ints(p, parts_a, enc.masks_r, sh.point.x)
         assert np.array_equal(sh.share_a, want_a)

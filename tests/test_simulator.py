@@ -181,3 +181,11 @@ def test_worker_class_validation():
         WorkerClass(count=1, lam=0.0, nu=0.0)
     with pytest.raises(ParameterError):
         WorkerClass(count=1, lam=1.0, nu=-0.1)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["lam", "nu"])
+def test_worker_class_refuses_non_finite_values(field, value):
+    kwargs = {"count": 1, "lam": 1.0, "nu": 0.0, field: value}
+    with pytest.raises(ParameterError, match=rf"^\w+ {field} must be a finite number .*, got {value}$"):
+        WorkerClass(**kwargs)
