@@ -17,7 +17,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidOrderError, ParameterError
+from .errors import BipolyError, DimensionMismatchError, InvalidOrderError, ParameterError
 from .fieldcore import PrimeField, mat_mul_mod, mul_mod, prime_field
 
 
@@ -178,14 +178,22 @@ def _block_array(blocks, counts: tuple, what: str, field: PrimeField, shape=None
 
     `counts` gives the nesting: (T,) for the A-side masks, (T, m) for the
     B side's.  Every block has `shape`, or the first block's shape; a
-    count or a shape that differs raises DimensionMismatchError naming `what`.
+    count or a shape that differs, a level that is not a sequence and a
+    block that is not a field array raise a BipolyError naming `what`.
     """
     flat = [blocks]
     for n in counts:
-        if any(len(level) != n for level in flat):
+        try:
+            counted = all(len(level) == n for level in flat)
+        except TypeError:  # a level without a length, such as an int
+            counted = False
+        if not counted:
             raise DimensionMismatchError(f"{what}: expected {' x '.join(map(str, counts))} blocks")
         flat = [blk for level in flat for blk in level]
-    flat = [field.asarray(blk) for blk in flat]
+    try:
+        flat = [field.asarray(blk) for blk in flat]
+    except BipolyError as err:
+        raise type(err)(f"{what}: {err}") from None
     shape = flat[0].shape if shape is None else shape
     for blk in flat:
         if blk.shape != shape:

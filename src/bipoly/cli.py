@@ -15,6 +15,7 @@ import configparser
 import json
 import os
 import sys
+from dataclasses import replace
 from importlib import resources
 
 import numpy as np
@@ -42,6 +43,8 @@ from .simulator import (
 )
 
 _ENUMERABLE_MI_LIMITS = {"q": 7, "T": 2, "m": 2}
+# A valid class whose fields a config value replaces one at a time.
+_SOME_CLASS = WorkerClass(count=1, lam=1.0, nu=0.0)
 
 
 def _parse_budgets(text: str) -> list[int]:
@@ -153,13 +156,19 @@ def _config_value(path: str, sec: configparser.SectionProxy, key: str, convert):
         raise ParameterError(f"{path}: [{sec.name}] {key} = {sec[key]!r}: {err}") from None
 
 
+def _class_field(field: str, convert):
+    """Converter that checks one WorkerClass field alone, so an error names its key."""
+    return lambda text: getattr(replace(_SOME_CLASS, **{field: convert(text)}), field)
+
+
 def load_sim_config(path: str) -> dict:
     """Parse a key=value simulation config.
 
     Sections: [scheme] with K, L, T, q; [sim] with trials, budgets
     (default 2-10) and seed (default 0); one [class.NAME] per worker
-    class with count, lambda, nu.  A missing key, or a value that does not parse, raises
-    ParameterError naming the file, the section and the key.  Bundled
+    class with count, lambda, nu.  A missing key, or a value that does
+    not parse or breaks a WorkerClass invariant, raises ParameterError
+    naming the file, the section and the key.  Bundled
     configs can be named directly ('heterogeneous' or 'homogeneous').
     """
     if not os.path.exists(path) and not path.endswith(".cfg"):
@@ -181,9 +190,9 @@ def load_sim_config(path: str) -> dict:
         sec = parser[section]
         classes.append(
             WorkerClass(
-                count=_config_value(path, sec, "count", int),
-                lam=_config_value(path, sec, "lambda", float),
-                nu=_config_value(path, sec, "nu", float),
+                count=_config_value(path, sec, "count", _class_field("count", int)),
+                lam=_config_value(path, sec, "lambda", _class_field("lam", float)),
+                nu=_config_value(path, sec, "nu", _class_field("nu", float)),
             )
         )
     if not classes:

@@ -16,8 +16,8 @@ Both matrices factor through V[i, t] = x_i^(K+t):
     W_i[o, j] = fall(j, o) * y_i^(j-o) is upper triangular with
     diagonal o! for o < m, all nonzero mod q exactly when q >= m.
 
-`sweep_collusion_subsets` evaluates that closed form over every
-subset.  `perfect_privacy_check` (exact rank over F_q, one coalition)
+`sweep_collusion_subsets` evaluates that closed form, `_private`, over
+every subset.  `perfect_privacy_check` (exact rank over F_q, one coalition)
 and `exhaustive_mi_check` (mutual information by enumeration, toy
 scale) test the rank criterion independently of it.
 
@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations, islice
 from typing import Sequence
 
 import numpy as np
@@ -45,7 +46,7 @@ from .fieldcore import prime_field
 
 # Hard cap on exhaustive enumeration: q**(2 + T + T*m) states.
 _ENUM_LIMIT = 20_000_000
-# Hard cap on the coalitions a sweep enumerates: C(N, T) rows of T indices.
+# Hard cap on the coalitions a sweep enumerates.
 _SUBSET_LIMIT = 2_000_000
 
 
@@ -131,22 +132,9 @@ class SweepReport:
         return not self.failing_subsets
 
 
-def _combinations(n: int, t: int) -> np.ndarray:
-    """(C(n, t), t) array of every t-subset of range(n), lexicographic.
-
-    Built one column at a time: a row whose last entry is v gains the
-    children v+1, ..., n-t+j in column j, in that order.
-    """
-    sub = np.arange(max(n - t + 1, 0), dtype=np.intp)[:, None]
-    for j in range(1, t):
-        last = sub[:, -1]
-        counts = n - t + j - last
-        sub = np.repeat(sub, counts, axis=0)
-        # Child k of a row lands at row first + k and holds last + 1 + k.
-        first = np.cumsum(counts) - counts
-        col = np.repeat(last + 1 - first, counts) + np.arange(len(sub))
-        sub = np.column_stack([sub, col])
-    return sub
+def _private(residues: Sequence[int], K: int, m: int, q: int) -> bool:
+    """The module's closed form: x mod q nonzero (for K >= 1) and distinct, q >= m."""
+    return q >= m and len(set(residues)) == len(residues) and (K == 0 or 0 not in residues)
 
 
 def sweep_collusion_subsets(
@@ -159,45 +147,36 @@ def sweep_collusion_subsets(
 ) -> SweepReport:
     """Check every T-subset of workers against the exact privacy criterion.
 
-    A coalition is private exactly when its x_i mod q are pairwise
-    distinct and nonzero (nonzero matters for K >= 1) and q >= m.
-    Proof: a_coeffs = diag(x_i^K) * Vandermonde(x_i), and b_coeffs =
-    blockdiag(W_i) * kron(a_coeffs, I_m) with each W_i upper triangular
-    of diagonal 0!, 1!, ..., (m-1)!, all nonzero mod q iff q >= m.
-
     Subsets index into `points` (0-based) and run over all C(N, T) in
-    lexicographic order.  The report counts every subset checked and
-    lists the first `max_failures` failing ones in enumeration order:
-    exactly those perfect_privacy_check fails.  Works at any supported q.
-    When all N residues already pass the criterion, so does every
-    subset, and the sweep counts C(N, T) without enumerating; otherwise
-    more than 2,000,000 subsets raise TooLargeToEnumerateError.
+    lexicographic order.  The report counts every subset and lists the
+    first `max_failures` failing ones in that order: exactly those
+    perfect_privacy_check fails.  Works at any supported q.  When all N
+    residues pass the criterion, so does every subset, and the sweep
+    counts C(N, T) without enumerating.  Otherwise it enumerates, and
+    stops at the `max_failures`-th failure; more than 2,000,000 subsets
+    raise TooLargeToEnumerateError.
     """
     prime_field(q)
     if T < 0:
         raise ParameterError(f"tolerance T must be >= 0, got {T}")
+    if max_failures < 0:
+        raise ParameterError(f"max_failures must be >= 0, got {max_failures}")
     if T == 0:
         return SweepReport(0, ())
     n = len(points)
     residues = [pt.x % q for pt in points]
     count = math.comb(n, T)
-    if len(set(residues)) == n and (K == 0 or 0 not in residues) and q >= m:
+    if _private(residues, K, m, q):
         return SweepReport(count, ())
     if count > _SUBSET_LIMIT:
         raise TooLargeToEnumerateError(
             f"C({n},{T}) = {count} subsets exceed the enumeration limit {_SUBSET_LIMIT}"
         )
-    sub = _combinations(n, T)
-    # xs[t] holds the residue of every coalition's t-th member.
-    xs = np.array(residues, dtype=np.int64)[sub].T
-    ok = np.full(sub.shape[0], q >= m)
-    for b in range(1, T):
-        for a in range(b):
-            ok &= xs[a] != xs[b]
-    if K > 0:
-        ok &= (xs != 0).all(axis=0)
-    failing = sub[~ok][:max_failures]
-    return SweepReport(sub.shape[0], tuple(tuple(map(int, row)) for row in failing))
+    failing = (
+        sub for sub in combinations(range(n), T)
+        if not _private([residues[i] for i in sub], K, m, q)
+    )
+    return SweepReport(count, tuple(islice(failing, max_failures)))
 
 
 def _entropy(counts: np.ndarray) -> float:

@@ -218,7 +218,7 @@ def encode(
             raise DimensionMismatchError(f"{name} must be a 2-D matrix, got shape {operand.shape}")
     (r, s), c = a.shape, b.shape[1]
     if b.shape[0] != s:
-        raise IndivisibleDimensionsError(f"inner dimensions differ: A is {a.shape}, B is {b.shape}")
+        raise DimensionMismatchError(f"inner dimensions differ: A is {a.shape}, B is {b.shape}")
     _check_divisible(params, r, c)
     field, K, L, T, m = params.field, params.K, params.L, params.T, params.m
     br, bc = r // K, c // L

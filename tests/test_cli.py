@@ -5,7 +5,7 @@ import os
 import pytest
 
 from bipoly import cli, wire
-from bipoly.errors import ParameterError
+from bipoly.errors import DecodeSingularError, ParameterError
 
 
 def run(args, capsys):
@@ -175,18 +175,41 @@ def test_simulate_config_bad_value_names_it(tmp_path, capsys, section, key, valu
 @pytest.mark.parametrize("key, value, message", [
     ("lambda", "nan", "rate lam must be a finite number > 0, got nan"),
     ("nu", "inf", "shift nu must be a finite number >= 0, got inf"),
+    ("count", "0", "worker class count must be >= 1, got 0"),
 ])
 def test_simulate_refuses_a_non_finite_worker_class(tmp_path, capsys, key, value, message):
     cfg = write_sim_config(tmp_path / "nan.cfg", values={("class.only", key): value})
     code, out, err = run(["simulate", "--config", cfg], capsys)
     assert code == 1 and out == ""
     assert message in err
+    assert f"nan.cfg: [class.only] {key} = {value!r}: {message}" in err
+
+
+@pytest.mark.parametrize("section, message", [
+    ("scheme", "missing [scheme] section"),
+    ("sim", "missing [sim] section"),
+    ("class.only", "no [class.*] sections"),
+])
+def test_simulate_config_missing_section_names_it(tmp_path, capsys, section, message):
+    cfg = tmp_path / "nosec.cfg"
+    write_sim_config(cfg)
+    cfg.write_text(cfg.read_text().replace(f"[{section}]", "[unused]"))
+    code, out, err = run(["simulate", "--config", str(cfg)], capsys)
+    assert code == 1 and out == ""
+    assert f"nosec.cfg: {message}" in err
 
 
 def test_thresholds_names_a_bad_budget(capsys):
     code, _, err = run(["thresholds", "--budgets", "2-x"], capsys)
     assert code == 1
     assert "budget '2-x' in '2-x' is not an integer or a lo-hi range" in err
+
+
+@pytest.mark.parametrize("budgets", ["", " , "])
+def test_thresholds_refuses_empty_budgets(capsys, budgets):
+    code, out, err = run(["thresholds", "--budgets", budgets], capsys)
+    assert code == 1 and out == ""
+    assert f"no budgets in {budgets!r}" in err
 
 
 def test_simulate_complete_config_runs(tmp_path, capsys):
@@ -231,6 +254,31 @@ def test_privacy_degenerate_fails_with_witness(capsys):
     assert out.strip().endswith("FAIL")
 
 
+def test_privacy_degenerate_zeroes_x_when_t_is_one(capsys):
+    # With T = 1 there is no pair to repeat, so worker 0 gets x = 0.
+    code, out, _ = run(
+        ["privacy", "--K", "2", "--L", "2", "--T", "1", "--m", "2",
+         "--N", "6", "--q", "101", "--sweeps", "1", "--seed", "0",
+         "--allow-degenerate"],
+        capsys,
+    )
+    assert code == 2
+    assert out.startswith("sweep 0: FAIL (1+ of 6 subsets)\n")
+    assert "witness subset (worker indices): (0,)" in out
+    assert out.strip().endswith("FAIL")
+
+
+def test_demo_singular_decode_exits_two(monkeypatch, capsys):
+    def singular(params, results):
+        raise DecodeSingularError("interpolation matrix is singular")
+
+    monkeypatch.setattr(cli, "decode", singular)
+    code, out, err = run(SMALL_DEMO + ["--seed", "3"], capsys)
+    assert code == 2
+    assert "PASS" not in out
+    assert "runtime failure: interpolation matrix is singular" in err
+
+
 def test_privacy_limit_applies_only_when_the_sweep_enumerates(capsys):
     # Every point passes, so C(200, 4) coalitions are counted, not listed;
     # the degenerate draw must list them and is refused by name instead.
@@ -244,8 +292,9 @@ def test_privacy_limit_applies_only_when_the_sweep_enumerates(capsys):
 
 
 # Recorded before simulate's sweep was shared across schemes and budgets,
-# and before the privacy sweep enumerated coalitions in numpy; the CSV and
-# the audit report must stay byte-identical for a fixed seed.
+# and before the privacy sweep's enumeration was rewritten twice (in numpy,
+# then lazily with early stopping); the CSV and the audit report must stay
+# byte-identical for a fixed seed.
 GOLDEN_STDOUT = {
     "simulate": (
         ["simulate", "--config", "heterogeneous", "--scheme", "both",

@@ -235,7 +235,7 @@ def test_default_sweep_skips_enumeration_when_all_points_pass(monkeypatch):
         decided = len(set(xs)) == n and 0 not in xs and q >= m
         with monkeypatch.context() as patched:
             if decided:
-                patched.setattr(privacy, "_combinations", None)
+                patched.setattr(privacy, "combinations", None)
             report = sweep_collusion_subsets(pts, K, T, m, q, max_failures=10**9)
         assert report.subsets_checked == math.comb(n, T)
         assert report.failing_subsets == want
@@ -246,9 +246,10 @@ def test_default_sweep_skips_enumeration_when_all_points_pass(monkeypatch):
 
 
 def test_default_sweep_equals_explicit_combinations_on_degenerate_draws():
-    # The sweep enumerates coalitions in numpy; it must list the same
-    # failing subsets, in the same order and under the same cut, as the
-    # rank oracle over itertools.combinations.
+    # On a draw that fails the all-points check the sweep enumerates
+    # coalitions and stops at the cut; it must list the same failing
+    # subsets, in the same order and under the same cut, as the rank
+    # oracle over itertools.combinations.
     rng = np.random.default_rng(4242)
     seen = {"q_below_m": 0, "zero_x": 0, "repeated_x": 0, "t_above_n": 0}
     for trial in range(120):
@@ -277,6 +278,15 @@ def test_default_sweep_equals_explicit_combinations_on_degenerate_draws():
 def test_sweep_rejects_negative_tolerance():
     with pytest.raises(ParameterError, match="T must be >= 0"):
         sweep_collusion_subsets([EvalPoint(3, 1)], K=1, T=-1, m=1, q=101)
+
+
+def test_sweep_rejects_negative_max_failures():
+    # A negative cut once dropped the last failing coalition silently.
+    pts = [EvalPoint(3, 1), EvalPoint(3, 2), EvalPoint(7, 5)]
+    with pytest.raises(ParameterError, match="max_failures must be >= 0, got -1"):
+        sweep_collusion_subsets(pts, K=1, T=2, m=1, q=101, max_failures=-1)
+    report = sweep_collusion_subsets(pts, K=1, T=2, m=1, q=101, max_failures=0)
+    assert report.failing_subsets == () and report.subsets_checked == 3
 
 
 # -- exhaustive mutual information --------------------------------------------

@@ -93,6 +93,12 @@ def test_encode_rejects_indivisible():
         encode(make_params(1, 2, 0, 1, 1, q=101), f.zeros(4, 2), f.zeros(2, 3), rng)
 
 
+def test_encode_refuses_unequal_inner_dimensions_as_a_mismatch():
+    rng = np.random.default_rng(0)
+    with pytest.raises(DimensionMismatchError, match=r"A is \(4, 3\), B is \(4, 4\)"):
+        encode(make_params(2, 2, 0, 1, 1, q=101), _zeros(4, 3), _zeros(4, 4), rng)
+
+
 def _zeros(*shape):
     return np.zeros(shape, dtype=np.int64)
 
@@ -112,6 +118,13 @@ GOOD_R, GOOD_S = [_zeros(2, 3)] * 2, [[_zeros(3, 2)] * 2] * 2
         (GOOD_R, [[_zeros(3, 2)]] * 2, "B-side masks: expected 2 x 2 blocks"),
         (GOOD_R, [[_zeros(3, 2), _zeros(3, 3)]] * 2,
          r"B-side masks: a block of shape \(3, 3\), not \(3, 2\)"),
+        (5, GOOD_S, "A-side masks: expected 2 blocks"),
+        (GOOD_R, 5, "B-side masks: expected 2 x 2 blocks"),
+        (GOOD_R, [5, 5], "B-side masks: expected 2 x 2 blocks"),
+        ([_zeros(2, 3), [[1, 2, 3], [4]]], GOOD_S,
+         "A-side masks: field elements must form a rectangular array"),
+        (GOOD_R, [[_zeros(3, 2), [[1], [2, 3], [4]]]] * 2,
+         "B-side masks: field elements must form a rectangular array"),
     ],
 )
 def test_encode_names_the_side_of_injected_masks_of_wrong_count_or_shape(
