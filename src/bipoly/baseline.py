@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BudgetTooSmallError, UnsupportedRegimeError
+from .bivariate import as_int, block_dims
+from .errors import BudgetTooSmallError, ParameterError, UnsupportedRegimeError
 from .scheme import field_element_bits
 
 
@@ -28,10 +29,10 @@ class GaspParams:
     m: int
 
     def __post_init__(self):
+        for name in ("K", "L", "T", "m"):
+            object.__setattr__(self, name, as_int(getattr(self, name), name, ParameterError))
         if min(self.K, self.L, self.m) < 1 or self.T < 0:
-            raise UnsupportedRegimeError(
-                f"need K, L, m >= 1 and T >= 0, got {self}"
-            )
+            raise UnsupportedRegimeError(f"need K, L, m >= 1 and T >= 0, got {self}")
         if self.L > self.K:
             raise UnsupportedRegimeError(
                 f"threshold cases are tabulated for L <= K only, got L={self.L} > K={self.K}"
@@ -51,15 +52,14 @@ def gasp_rth(g: GaspParams) -> int:
         return k * l + k + l + mt * mt + mt - 3
     if l <= mt < k:
         return (k + mt) * (l + 1) - 1
-    if l <= k <= mt:
-        return 2 * k * l + 2 * mt - 1
-    raise UnsupportedRegimeError(f"no tabulated case covers {g}")
+    # Integers with 1 <= mT and L <= K leave only L <= K <= mT here.
+    return 2 * k * l + 2 * mt - 1
 
 
 def gasp_max_m(budget: int) -> int:
     """Largest m under a partition budget: each sub-task needs one coded
     partition of each input matrix."""
-    if budget < 2:
+    if as_int(budget, "budget", ParameterError) < 2:
         raise BudgetTooSmallError(
             f"budget {budget} cannot hold a coded partition of each matrix"
         )
@@ -70,9 +70,6 @@ def gasp_upload_cost_bits(
     g: GaspParams, n_workers: int, r: int, s: int, c: int, q: int
 ) -> int:
     """Total upload bits: N * m * (rs/K + sc/L) field elements."""
-    if r % g.K or c % g.L:
-        raise UnsupportedRegimeError(
-            f"dimensions ({r}, {s}, {c}) not divisible by K={g.K}, L={g.L}"
-        )
-    per_task = r * s // g.K + s * c // g.L
+    br, bc = block_dims(g.K, g.L, (r, s, c), UnsupportedRegimeError)
+    per_task = br * s + s * bc
     return n_workers * g.m * per_task * field_element_bits(q)

@@ -28,6 +28,40 @@ class EvalPoint(NamedTuple):
     y: int
 
 
+def as_int(value, name: str, error: type[BipolyError], what: str = "") -> int:
+    """value as a Python int if it is an integer of any index type (Python's,
+    numpy's); otherwise `error`, prefixed by `what`, naming the field and value."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{what}{': ' if what else ''}{name}={value!r} is not an integer") from None
+
+
+def check_field_point(point, q: int, what: str, error: type[BipolyError]) -> None:
+    """Raise `error`, naming `what`, unless point is an EvalPoint of integers in [0, q)."""
+    if not isinstance(point, EvalPoint):
+        raise error(f"{what} has point {point!r}; expected an EvalPoint")
+    for name, value in zip(("x", "y"), point):
+        if not (isinstance(value, (int, np.integer)) and 0 <= value < q):
+            raise error(f"{what}: {name}={value!r} is not a field element in [0, q={q})")
+
+
+def block_dims(K: int, L: int, dims, error: type[BipolyError]) -> tuple[int, int]:
+    """(r/K, c/L) for dims (r, s, c): integers with r, c >= 1, s >= 0, K | r and L | c;
+    any other dims raise `error` naming the rule they break."""
+    r, s, c = (as_int(dim, name, error) for name, dim in zip("rsc", dims))
+    for name, dim in (("r", r), ("c", c)):
+        if dim < 1:
+            raise error(f"dims need {name} >= 1 for a product block, got {name}={dim}")
+    if s < 0:
+        raise error(f"dims need s >= 0, got s={s}")
+    if r % K:
+        raise error(f"K | r violated: K={K} does not divide r={r}")
+    if c % L:
+        raise error(f"L | c violated: L={L} does not divide c={c}")
+    return r // K, c // L
+
+
 def falling_factorial(a: int, b: int) -> int:
     """a * (a-1) * ... * (a-b+1); equals 1 for b == 0."""
     out = 1
@@ -55,18 +89,11 @@ class SchemeParams:
     q: int
 
     def __post_init__(self):
-        # Each field is an integer: Python's, numpy's or any other index type.
         for name in ("K", "L", "T", "m", "N", "q"):
-            value = getattr(self, name)
-            try:
-                object.__setattr__(self, name, operator.index(value))
-            except TypeError:
-                raise ParameterError(f"{name} must be an integer, got {value!r}") from None
-        for name in ("K", "L", "m", "N"):
-            if getattr(self, name) < 1:
-                raise ParameterError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.T < 0:
-            raise ParameterError(f"T must be >= 0, got {self.T}")
+            object.__setattr__(self, name, as_int(getattr(self, name), name, ParameterError))
+        for name, low in (("K", 1), ("L", 1), ("T", 0), ("m", 1), ("N", 1)):
+            if getattr(self, name) < low:
+                raise ParameterError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.m > self.L:
             raise ParameterError(
                 f"m <= L violated: m={self.m}, L={self.L} "

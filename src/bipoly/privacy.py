@@ -36,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bivariate import EvalPoint, generators
+from .bivariate import EvalPoint, as_int, generators
 from .errors import (
     DuplicatePointsError,
     ParameterError,
@@ -94,7 +94,7 @@ def mask_matrices(
     """
     field = prime_field(q)
     _validate_points(points, T)
-    if K < 0 or m < 0:
+    if as_int(K, "K", ParameterError) < 0 or as_int(m, "m", ParameterError) < 0:
         raise ParameterError(f"K and m must be >= 0, got K={K}, m={m}")
     gen_a, gen_b = generators(points, K, 0, T, m, field)
     return MaskMatrices(a_coeffs=gen_a[:, K:], b_coeffs=gen_b)
@@ -157,9 +157,9 @@ def sweep_collusion_subsets(
     raise TooLargeToEnumerateError.
     """
     prime_field(q)
-    if T < 0:
+    if as_int(T, "T", ParameterError) < 0:
         raise ParameterError(f"tolerance T must be >= 0, got {T}")
-    if max_failures < 0:
+    if as_int(max_failures, "max_failures", ParameterError) < 0:
         raise ParameterError(f"max_failures must be >= 0, got {max_failures}")
     if T == 0:
         return SweepReport(0, ())

@@ -13,7 +13,6 @@ one square linear solve.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -22,13 +21,15 @@ import numpy as np
 from .bivariate import (
     EvalPoint,
     SchemeParams,
+    as_int,
+    block_dims,
     build_support,
+    check_field_point,
     derivative_matrix,
     generators,
     _block_array,
 )
 from .errors import (
-    BipolyError,
     BudgetTooSmallError,
     DecodeSingularError,
     DimensionMismatchError,
@@ -90,8 +91,8 @@ def field_element_bits(q: int) -> int:
 
 def upload_cost_bits(params: SchemeParams, r: int, s: int, c: int) -> int:
     """Total master-to-worker bits: N(rs/K + m*sc/L) elements."""
-    _check_divisible(params, r, c)
-    per_worker = r * s // params.K + params.m * s * c // params.L
+    br, bc = block_dims(params.K, params.L, (r, s, c), IndivisibleDimensionsError)
+    per_worker = br * s + params.m * s * bc
     return params.N * per_worker * field_element_bits(params.q)
 
 
@@ -101,18 +102,11 @@ def max_m_for_budget(budget: int, l: int) -> int:
     One partition-equivalent carries the A share; the rest carry B
     derivative shares, capped at L.
     """
-    if budget < 2:
+    if as_int(budget, "budget", ParameterError) < 2:
         raise BudgetTooSmallError(
             f"budget {budget} cannot hold one A share and one B share"
         )
     return min(budget - 1, l)
-
-
-def _check_divisible(params: SchemeParams, r: int, c: int) -> None:
-    if r % params.K:
-        raise IndivisibleDimensionsError(f"K={params.K} does not divide r={r}")
-    if c % params.L:
-        raise IndivisibleDimensionsError(f"L={params.L} does not divide c={c}")
 
 
 def _array(value, what: str) -> np.ndarray:
@@ -157,15 +151,6 @@ def sample_points(params: SchemeParams, rng: np.random.Generator) -> list[EvalPo
     return points
 
 
-def _check_field_point(point, q: int, what: str, error: type[BipolyError]) -> None:
-    """Raise `error`, naming `what`, unless point is an EvalPoint of integers in [0, q)."""
-    if not isinstance(point, EvalPoint):
-        raise error(f"{what} reports point {point!r}; expected an EvalPoint")
-    for name, value in zip(("x", "y"), point):
-        if not (isinstance(value, (int, np.integer)) and 0 <= value < q):
-            raise error(f"{what}: {name}={value!r} is not a field element in [0, q={q})")
-
-
 def _check_points(params: SchemeParams, points: Sequence[EvalPoint]) -> None:
     """N points that head words can hold and that keep the shares private.
 
@@ -178,7 +163,7 @@ def _check_points(params: SchemeParams, points: Sequence[EvalPoint]) -> None:
         raise ParameterError(f"expected {params.N} evaluation points, got {len(points)}")
     seen: dict[int, int] = {}
     for worker_id, point in enumerate(points, 1):
-        _check_field_point(point, params.q, f"worker {worker_id}", ParameterError)
+        check_field_point(point, params.q, f"worker {worker_id}", ParameterError)
         if params.T >= 1:
             x = point[0]
             if x == 0:
@@ -219,9 +204,8 @@ def encode(
     (r, s), c = a.shape, b.shape[1]
     if b.shape[0] != s:
         raise DimensionMismatchError(f"inner dimensions differ: A is {a.shape}, B is {b.shape}")
-    _check_divisible(params, r, c)
+    br, bc = block_dims(params.K, params.L, (r, s, c), IndivisibleDimensionsError)
     field, K, L, T, m = params.field, params.K, params.L, params.T, params.m
-    br, bc = r // K, c // L
     if rng is None and (points is None or masks_r is None or masks_s is None):
         raise ParameterError("encode needs an rng when points or masks are not supplied")
     if points is None:
@@ -258,12 +242,7 @@ def worker_compute(share: WorkerShare, order: int) -> PartialResult:
     Workers run orders 0, 1, ..., m-1 in sequence; drivers enforce that
     ordering, and decode rejects response sets that break it.
     """
-    try:
-        order = operator.index(order)
-    except TypeError:
-        raise InvalidOrderError(
-            f"order {order!r} for worker {share.worker_id} is not an integer"
-        ) from None
+    order = as_int(order, "order", InvalidOrderError, f"worker {share.worker_id}")
     if not 0 <= order < len(share.shares_b):
         raise InvalidOrderError(
             f"order {order} outside [0, {len(share.shares_b) - 1}] "
@@ -308,11 +287,8 @@ def validate_responses(
     for res in results:
         what = f"worker {res.worker_id} order {res.order}"
         for name, value in (("worker_id", res.worker_id), ("order", res.order)):
-            try:
-                operator.index(value)
-            except TypeError:
-                raise ResponseContractError(f"{what}: {name}={value!r} is not an integer") from None
-        _check_field_point(res.point, params.q, what, ResponseContractError)
+            as_int(value, name, ResponseContractError, what)
+        check_field_point(res.point, params.q, what, ResponseContractError)
     ordered = sorted(results, key=lambda res: (res.worker_id, res.order))
     shapes = set()
     for wid, run in itertools.groupby(ordered, key=lambda res: res.worker_id):
@@ -396,6 +372,9 @@ def random_prefix_subset(
     Picks how many results each worker contributes, then takes that
     worker's lowest orders, so any returned subset is decode-eligible.
     """
+    size = as_int(size, "size", ParameterError)
+    if size < 0:
+        raise ParameterError(f"size must be >= 0, got {size}")
     by_worker: dict[int, list[PartialResult]] = {}
     for res in results:
         by_worker.setdefault(res.worker_id, []).append(res)

@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .baseline import GaspParams, gasp_max_m, gasp_rth
-from .bivariate import SchemeParams
+from .bivariate import SchemeParams, as_int
 from .errors import IncompletableError, ParameterError
 from .scheme import max_m_for_budget, recovery_threshold
 
@@ -43,6 +43,7 @@ class WorkerClass:
     nu: float
 
     def __post_init__(self):
+        object.__setattr__(self, "count", as_int(self.count, "count", ParameterError))
         if self.count < 1:
             raise ParameterError(f"worker class count must be >= 1, got {self.count}")
         # NaN fails every comparison, so each check is written to pass.
@@ -132,8 +133,10 @@ def budget_sweep(
         raise ParameterError(
             f"schemes must be a sequence of scheme names, got the string {schemes!r}"
         )
-    if trials < 1:
+    if as_int(trials, "trials", ParameterError) < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
+    if as_int(seed, "seed", ParameterError) < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
     budgets = list(budgets)
     n_workers = sum(c.count for c in classes)
     points = []

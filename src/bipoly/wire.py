@@ -5,9 +5,9 @@ Every file is a sequence of little-endian unsigned 64-bit words:
     header (11 words): magic, version, q, K, L, T, m, N, r, s, c
 
 followed by fixed-size records of field elements and small integers.
-r and c must be at least 1, K must divide r and L must divide c, so
-that every product block below has a whole, nonempty shape; dumps,
-loads and encode reject any other dims.
+Dims are integers with r, c >= 1, s >= 0, K | r and L | c
+(bivariate.block_dims), so every product block below has a whole,
+nonempty shape; dumps, loads and encode reject any other dims.
 
 Share files hold N records of
     worker_id, x, y, A-share (r/K * s words, row-major),
@@ -20,7 +20,8 @@ the record count is implied by the file length.
 Field words (x, y and every matrix entry) are canonical residues below
 q; the dumps refuse to write, and the loaders refuse to read, any other
 field word instead of reducing it.  worker_id and order keep their full
-u64 range, and a dump refuses an id or coordinate outside it.  Masks
+u64 range; a dump refuses an id that is not an integer in it, and a
+point that decode would refuse (bivariate.check_field_point).  Masks
 are deliberately absent: serialized bytes model exactly what the
 workers and master exchange.  The layout is bit-exact across platforms.
 
@@ -49,7 +50,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bivariate import EvalPoint, SchemeParams
+from .bivariate import EvalPoint, SchemeParams, as_int, block_dims, check_field_point
 from .errors import BipolyError, WireFormatError
 
 MAGIC = int.from_bytes(b"FQPCODE1", "little")
@@ -111,15 +112,8 @@ class _Record(NamedTuple):
 
 def _layout(params: SchemeParams, dims: tuple[int, int, int]) -> dict[str, _Record]:
     """The share and result record layouts that a header describes."""
-    r, s, c = dims
-    for name, dim in (("r", r), ("c", c)):
-        if dim < 1:
-            raise WireFormatError(f"dims need {name} >= 1 for a product block, got {name}={dim}")
-    if r % params.K:
-        raise WireFormatError(f"K | r violated: K={params.K} does not divide r={r}")
-    if c % params.L:
-        raise WireFormatError(f"L | c violated: L={params.L} does not divide c={c}")
-    br, bc = r // params.K, c // params.L
+    br, bc = block_dims(params.K, params.L, dims, WireFormatError)
+    s = dims[1]
     return {
         "share": _Record(("worker_id",), (("A-share", 1, (br, s)), ("B-share", params.m, (s, bc)))),
         "result": _Record(("worker_id", "order"), (("product", 1, (br, bc)),)),
@@ -279,8 +273,9 @@ def _pack(
 ) -> _BlobSet:
     """A new blob's set of one record per (ids, point, blocks, label), each word written once.
 
-    Each point must be an EvalPoint, each id, x and y must fit a u64
-    word, and each block must be integers of the shape that dims give it.
+    Each id must be an integer that fits a u64 word, each point an
+    EvalPoint of field elements, as decode requires, and each block
+    integers of the shape that dims give it.
     """
     rec = _layout(params, dims)[kind]
     heads, checked = [], []
@@ -288,13 +283,12 @@ def _pack(
         checked.append([
             _block(blk, shape, f"{what} {name}") for blk, (name, shape) in zip(blocks, rec.blocks)
         ])
-        if not isinstance(point, EvalPoint):
-            raise WireFormatError(f"{what} has point {point!r}; expected an EvalPoint")
-        head = (*ids, *point)
-        for name, value in zip(rec.heads, head):
-            if not 0 <= int(value) < 1 << 64:
+        ids = [as_int(value, name, WireFormatError, what) for name, value in zip(rec.ids, ids)]
+        for name, value in zip(rec.ids, ids):
+            if not 0 <= value < 1 << 64:
                 raise WireFormatError(f"{what}: {name}={value} does not fit a u64 word")
-        heads.append([int(value) for value in head])
+        check_field_point(point, params.q, what, WireFormatError)
+        heads.append([*ids, *point])
     packed, regions = _new_set(params, dims, kind, heads)
     # u64 views, so a block of any integer dtype is written bit for bit.
     views = [

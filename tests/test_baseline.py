@@ -1,7 +1,7 @@
 import pytest
 
 from bipoly.baseline import GaspParams, gasp_max_m, gasp_rth, gasp_upload_cost_bits
-from bipoly.errors import BudgetTooSmallError, UnsupportedRegimeError
+from bipoly.errors import BudgetTooSmallError, ParameterError, UnsupportedRegimeError
 
 
 def test_rth_case_values():
@@ -65,3 +65,23 @@ def test_upload_cost():
         g1, 51, 100, 100, 100, q
     )
     assert gasp_upload_cost_bits(g3, 51, 100, 100, 100, q) == 51 * 3 * 4000 * 31
+
+
+@pytest.mark.parametrize("fields", [(0, 1, 1, 1), (2, 1, -1, 1), (2, 1, 1, 0)])
+def test_params_refuse_counts_out_of_range(fields):
+    with pytest.raises(UnsupportedRegimeError, match="need K, L, m >= 1 and T >= 0"):
+        GaspParams(*fields)
+
+
+def test_params_and_budget_name_a_value_that_is_not_an_integer():
+    # GaspParams(5.5, 5, 3, 1) once gave an R_th of 47.0, gasp_max_m(4.5) 2.0.
+    with pytest.raises(ParameterError, match="^K=5.5 is not an integer"):
+        GaspParams(5.5, 5, 3, 1)
+    with pytest.raises(ParameterError, match="^budget=4.5 is not an integer"):
+        gasp_max_m(4.5)
+
+
+def test_upload_cost_refuses_a_row_count_below_one():
+    # r = -5 once cost 0 bits.
+    with pytest.raises(UnsupportedRegimeError, match="dims need r >= 1"):
+        gasp_upload_cost_bits(GaspParams(K=5, L=5, T=3, m=2), 51, -5, 5, 5, 2**31 - 1)

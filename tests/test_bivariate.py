@@ -56,8 +56,18 @@ def test_params_reject_composite_q():
 def test_params_name_a_field_that_is_not_an_integer(name, value):
     fields = dict(K=2, L=3, T=1, m=1, N=4, q=101)
     fields[name] = value
-    with pytest.raises(ParameterError, match=f"^{name} must be an integer"):
+    with pytest.raises(ParameterError, match=f"^{name}={value!r} is not an integer"):
         SchemeParams(**fields)
+
+
+def test_params_refuse_a_negative_tolerance():
+    with pytest.raises(ParameterError, match="^T must be >= 0, got -1"):
+        SchemeParams(K=2, L=3, T=-1, m=1, N=4, q=101)
+
+
+def test_xi_refuses_a_negative_corner():
+    with pytest.raises(ParameterError, match=r"corners must be >= 0, got \(-1, 2\)"):
+        xi(-1, 2)
 
 
 def test_params_take_numpy_integers_as_python_ints():

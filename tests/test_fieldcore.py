@@ -228,6 +228,12 @@ def test_batched_nonsingular_of_empty_stacks():
     assert f.batched_nonsingular(np.zeros((4, 0, 0), dtype=np.int64)).tolist() == [True] * 4
 
 
+@pytest.mark.parametrize("shape", [(3, 3), (2, 3, 4)])
+def test_batched_nonsingular_refuses_a_stack_that_is_not_square(shape):
+    with pytest.raises(DimensionMismatchError, match=r"expected a \(B, n, n\) stack"):
+        prime_field(101).batched_nonsingular(np.zeros(shape, dtype=np.int64))
+
+
 def test_solve_linear_takes_list_operands():
     f = prime_field(101)
     m, rhs = [[2, 1], [1, 1]], [[3, 0], [2, 1]]

@@ -289,6 +289,35 @@ def test_sweep_rejects_negative_max_failures():
     assert report.failing_subsets == () and report.subsets_checked == 3
 
 
+@pytest.mark.parametrize("change, match", [
+    (dict(max_failures=2.5), "^max_failures=2.5 is not an integer"),
+    (dict(T=2.0), "^T=2.0 is not an integer"),
+])
+def test_sweep_names_a_count_that_is_not_an_integer(change, match):
+    # These once raised islice's bare ValueError and math.comb's TypeError.
+    pts = [EvalPoint(3, 1), EvalPoint(3, 2), EvalPoint(7, 5)]
+    with pytest.raises(ParameterError, match=match):
+        sweep_collusion_subsets(pts, **{"K": 1, "T": 2, "m": 1, "q": 101, **change})
+
+
+def test_checks_at_t_zero_see_no_coalition():
+    pts = [EvalPoint(3, 1), EvalPoint(3, 2)]
+    assert sweep_collusion_subsets(pts, K=1, T=0, m=1, q=101) == privacy.SweepReport(0, ())
+    assert exhaustive_mi_check([], K=1, T=0, m=1, q=5) == 0.0
+
+
+def test_mask_matrices_refuse_a_coalition_of_the_wrong_size():
+    with pytest.raises(ParameterError, match="expected 2 coalition points, got 1"):
+        mask_matrices([EvalPoint(3, 1)], K=1, T=2, m=1, q=101)
+
+
+@pytest.mark.parametrize("K, m, match", [(1.5, 1, "^K=1.5 is not"), (1, 2.0, "^m=2.0 is not")])
+def test_privacy_check_names_a_count_that_is_not_an_integer(K, m, match):
+    # These once raised a bare TypeError from the generator builder.
+    with pytest.raises(ParameterError, match=match):
+        perfect_privacy_check([EvalPoint(3, 1)], K=K, T=1, m=m, q=101)
+
+
 # -- exhaustive mutual information --------------------------------------------
 
 

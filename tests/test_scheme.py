@@ -296,6 +296,17 @@ def test_upload_cost_formula():
     assert delta == 5 * 6 * 4 * field_element_bits(Q31)
 
 
+@pytest.mark.parametrize("dims, match", [
+    ((4, -4, 4), "dims need s >= 0, got s=-4"),
+    ((-4, 4, 4), "dims need r >= 1 for a product block, got r=-4"),
+    ((4.0, 4, 4), "^r=4.0 is not an integer"),
+])
+def test_upload_cost_refuses_dims_that_encode_refuses(dims, match):
+    # s = -4 once cost -1344 bits and r = 4.0 cost 1344.0.
+    with pytest.raises(IndivisibleDimensionsError, match=match):
+        upload_cost_bits(make_params(2, 2, 1, 2, 5, q=101), *dims)
+
+
 def test_max_m_for_budget():
     assert max_m_for_budget(2, 5) == 1
     assert max_m_for_budget(3, 5) == 2
@@ -325,8 +336,8 @@ def test_worker_compute_products_and_order_guard():
 def test_worker_compute_names_an_order_that_is_not_an_integer(order):
     p = make_params(2, 2, 1, 2, 5, q=101)
     _, _, enc, _, _ = run_pipeline(p, 4, 3, 4)
-    with pytest.raises(InvalidOrderError, match=f"^order {re.escape(repr(order))} for worker 1 "
-                       "is not an integer"):
+    with pytest.raises(InvalidOrderError,
+                       match=f"^worker 1: order={re.escape(repr(order))} is not an integer"):
         worker_compute(enc.shares[0], order)
     assert type(worker_compute(enc.shares[0], np.int64(1)).order) is int
 
@@ -641,7 +652,7 @@ def test_decode_names_a_point_that_is_not_an_eval_point():
     bad = list(results)
     bad[3] = replace(bad[3], point=tuple(bad[3].point))
     assert (bad[3].worker_id, bad[3].order) == (2, 1)
-    with pytest.raises(ResponseContractError, match="^worker 2 order 1 reports point .*EvalPoint"):
+    with pytest.raises(ResponseContractError, match="^worker 2 order 1 has point .*EvalPoint"):
         decode(p, bad)
 
 
@@ -699,3 +710,18 @@ def test_random_prefix_subset_is_prefix_valid():
         validate_responses(p, subset)
     with pytest.raises(NotEnoughResponsesError):
         random_prefix_subset(results, len(results) + 1, rng)
+
+
+def test_max_m_for_budget_names_a_budget_that_is_not_an_integer():
+    with pytest.raises(ParameterError, match="^budget=3.5 is not an integer"):
+        max_m_for_budget(3.5, 5)  # once 2.5
+
+
+@pytest.mark.parametrize("size, match", [(-1, "size must be >= 0, got -1"),
+                                         (2.5, "^size=2.5 is not an integer")])
+def test_random_prefix_subset_refuses_a_size_that_is_no_count(size, match):
+    # -1 once gave [] and 2.5 gave three results.
+    p = make_params(2, 2, 1, 2, 6, q=101)
+    _, _, _, results, rng = run_pipeline(p, 4, 4, 4)
+    with pytest.raises(ParameterError, match=match):
+        random_prefix_subset(results, size, rng)

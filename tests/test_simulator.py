@@ -189,3 +189,22 @@ def test_worker_class_refuses_non_finite_values(field, value):
     kwargs = {"count": 1, "lam": 1.0, "nu": 0.0, field: value}
     with pytest.raises(ParameterError, match=rf"^\w+ {field} must be a finite number .*, got {value}$"):
         WorkerClass(**kwargs)
+
+
+@pytest.mark.parametrize("change, match", [
+    (dict(trials=2.5), "^trials=2.5 is not an integer"),
+    (dict(seed=1.5), "^seed=1.5 is not an integer"),
+    (dict(seed=-1), "^seed must be >= 0, got -1"),
+])
+def test_budget_sweep_names_a_trial_count_or_seed_that_is_no_count(change, match):
+    # These once raised numpy's bare TypeError or ValueError.
+    p = SchemeParams(K=2, L=2, T=1, m=1, N=8, q=101)
+    args = {"trials": 10, "seed": 0, **change}
+    with pytest.raises(ParameterError, match=match):
+        budget_sweep(one_class(8, 1.0, 0.0), p, [2], (PROPOSED,), **args)
+
+
+def test_worker_class_count_must_be_an_integer():
+    with pytest.raises(ParameterError, match="^count=2.5 is not an integer"):
+        WorkerClass(count=2.5, lam=1.0, nu=0.0)
+    assert type(WorkerClass(count=np.int64(3), lam=1.0, nu=0.0).count) is int

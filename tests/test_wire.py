@@ -1,4 +1,5 @@
 import hashlib
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -426,6 +427,38 @@ def test_dumps_return_read_only_bytes_of_the_blob():
             blob[0] = 0
 
 
+@pytest.mark.parametrize("value", [1.5, "3", 2.7])
+def test_dumps_name_a_head_word_that_is_not_an_integer(value):
+    # A result at x = 9.5 or worker_id = 2.5 was once written as 9 or 2.
+    p, dims, shares, results = pipeline(101)
+    sh, res = shares[0], results[0]
+    cases = [
+        (wire.dump_shares, "worker_id", replace(sh, worker_id=value)),
+        (wire.dump_shares, "x", replace(sh, point=EvalPoint(value, sh.point.y))),
+        (wire.dump_shares, "y", replace(sh, point=EvalPoint(sh.point.x, value))),
+        (wire.dump_results, "worker_id", replace(res, worker_id=value)),
+        (wire.dump_results, "order", replace(res, order=value)),
+        (wire.dump_results, "x", replace(res, point=EvalPoint(value, res.point.y))),
+        (wire.dump_results, "y", replace(res, point=EvalPoint(res.point.x, value))),
+    ]
+    for dump, name, bad in cases:
+        records = list(shares if dump is wire.dump_shares else results)
+        with pytest.raises(WireFormatError, match=rf"^worker .*: {name}={re.escape(repr(value))} "):
+            dump(p, dims, [bad] + records[1:])
+
+
+@pytest.mark.parametrize("dims, match", [
+    ((4, -1, 4), "dims need s >= 0, got s=-1"), ((4.0, 6, 4), "^r=4.0 is not an integer"),
+])
+def test_dumps_refuse_dims_that_are_no_counts(dims, match):
+    # These once raised a bare OverflowError and TypeError.
+    p, _, shares, results = pipeline(101)
+    with pytest.raises(WireFormatError, match=match):
+        wire.dump_shares(p, dims, list(shares))
+    with pytest.raises(WireFormatError, match=match):
+        wire.dump_results(p, dims, list(results))
+
+
 def _with_entry(block, value):
     out = np.array(block)
     out.flat[-1] = value
@@ -436,23 +469,26 @@ def _with_entry(block, value):
 @pytest.mark.parametrize("bad", ["q", "-1"])
 def test_dumps_refuse_non_canonical_field_words(q, bad):
     # -1 would wrap to 2**64 - 1 and q would be written as is; the dumps
-    # refuse both, as the loaders do.
+    # refuse both, as the loaders do.  A coordinate is refused by the
+    # point check decode applies, before any word is written.
     p, dims, shares, results = pipeline(q)
     value = q if bad == "q" else -1
     sh, res = shares[1], results[3]
+    words, point = "field words must be < q", rf"={value} is not a field element in \[0, q={q}\)"
     bad_shares = [
-        replace(sh, share_a=_with_entry(sh.share_a, value)),
-        replace(sh, shares_b=(sh.shares_b[0], _with_entry(sh.shares_b[1], value))),
+        (replace(sh, share_a=_with_entry(sh.share_a, value)), words),
+        (replace(sh, shares_b=(sh.shares_b[0], _with_entry(sh.shares_b[1], value))), words),
+        (replace(sh, point=EvalPoint(sh.point.x, value)), "^worker 2: y" + point),
     ]
-    bad_results = [replace(res, product=_with_entry(res.product, value))]
-    if bad == "q":  # a coordinate >= q; a negative one fails the u64 range first
-        bad_shares.append(replace(sh, point=EvalPoint(sh.point.x, q)))
-        bad_results.append(replace(res, point=EvalPoint(q, res.point.y)))
-    for bad_share in bad_shares:
-        with pytest.raises(WireFormatError, match="field words must be < q"):
+    bad_results = [
+        (replace(res, product=_with_entry(res.product, value)), words),
+        (replace(res, point=EvalPoint(value, res.point.y)), "^worker 2 order 1: x" + point),
+    ]
+    for bad_share, match in bad_shares:
+        with pytest.raises(WireFormatError, match=match):
             wire.dump_shares(p, dims, [shares[0], bad_share] + list(shares[2:]))
-    for bad_result in bad_results:
-        with pytest.raises(WireFormatError, match="field words must be < q"):
+    for bad_result, match in bad_results:
+        with pytest.raises(WireFormatError, match=match):
             wire.dump_results(p, dims, results[:3] + [bad_result])
 
 
@@ -460,21 +496,24 @@ def test_dumps_refuse_non_canonical_field_words(q, bad):
 def test_dumps_name_the_head_word_outside_the_u64_range(value):
     p, dims, shares, results = pipeline(101)
     sh, res = shares[0], results[0]
+    # An id outside the range does not fit its word; a coordinate outside
+    # [0, q) is refused by the point check decode applies.
+    fits, point = "does not fit a u64 word", r"is not a field element in \[0, q=101\)"
     share_cases = {
-        "worker_id": replace(sh, worker_id=value),
-        "x": replace(sh, point=EvalPoint(value, sh.point.y)),
-        "y": replace(sh, point=EvalPoint(sh.point.x, value)),
+        "worker_id": (replace(sh, worker_id=value), fits),
+        "x": (replace(sh, point=EvalPoint(value, sh.point.y)), point),
+        "y": (replace(sh, point=EvalPoint(sh.point.x, value)), point),
     }
-    for name, bad in share_cases.items():
-        with pytest.raises(WireFormatError, match=rf"worker .* {name}={value} does not fit"):
+    for name, (bad, match) in share_cases.items():
+        with pytest.raises(WireFormatError, match=rf"worker .*: {name}={value} {match}"):
             wire.dump_shares(p, dims, [bad] + list(shares[1:]))
     result_cases = {
-        "worker_id": replace(res, worker_id=value),
-        "order": replace(res, order=value),
-        "x": replace(res, point=EvalPoint(value, res.point.y)),
+        "worker_id": (replace(res, worker_id=value), fits),
+        "order": (replace(res, order=value), fits),
+        "x": (replace(res, point=EvalPoint(value, res.point.y)), point),
     }
-    for name, bad in result_cases.items():
-        with pytest.raises(WireFormatError, match=rf"{name}={value} does not fit"):
+    for name, (bad, match) in result_cases.items():
+        with pytest.raises(WireFormatError, match=rf"{name}={value} {match}"):
             wire.dump_results(p, dims, [bad])
 
 
