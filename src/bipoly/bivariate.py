@@ -11,14 +11,13 @@ the interpolation system are both taken.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import BipolyError, DimensionMismatchError, InvalidOrderError, ParameterError
-from .fieldcore import PrimeField, mat_mul_mod, mul_mod, prime_field
+from .fieldcore import PrimeField, as_int, mat_mul_mod, mul_mod, prime_field
 
 
 class EvalPoint(NamedTuple):
@@ -26,15 +25,6 @@ class EvalPoint(NamedTuple):
 
     x: int
     y: int
-
-
-def as_int(value, name: str, error: type[BipolyError], what: str = "") -> int:
-    """value as a Python int if it is an integer of any index type (Python's,
-    numpy's); otherwise `error`, prefixed by `what`, naming the field and value."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise error(f"{what}{': ' if what else ''}{name}={value!r} is not an integer") from None
 
 
 def check_field_point(point, q: int, what: str, error: type[BipolyError]) -> None:
@@ -281,6 +271,7 @@ def derivative_row(
 
 def xi(a: int, b: int) -> int:
     """Total degree of all monomials x^i y^j over the rectangle [0,a] x [0,b]."""
+    a, b = as_int(a, "a", ParameterError), as_int(b, "b", ParameterError)
     if a < 0 or b < 0:
         raise ParameterError(f"rectangle corners must be >= 0, got ({a}, {b})")
     return a * (a + 1) // 2 * (b + 1) + b * (b + 1) // 2 * (a + 1)

@@ -29,6 +29,7 @@ strided destination.
 from __future__ import annotations
 
 import functools
+import operator
 
 import numpy as np
 
@@ -36,6 +37,7 @@ from .errors import (
     BipolyError,
     DimensionMismatchError,
     NonPrimeModulusError,
+    ParameterError,
     ZeroInverseError,
 )
 
@@ -60,6 +62,15 @@ _MIN_CHUNK = 1 << 10
 
 # Witness set making Miller-Rabin deterministic for all 64-bit inputs.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def as_int(value, name: str, error: type[BipolyError], what: str = "") -> int:
+    """value as a Python int if it is an integer of any index type (Python's,
+    numpy's); otherwise `error`, prefixed by `what`, naming the field and value."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{what}{': ' if what else ''}{name}={value!r} is not an integer") from None
 
 
 def is_prime(n: int) -> bool:
@@ -97,7 +108,7 @@ class PrimeField:
     __slots__ = ("q",)
 
     def __init__(self, q: int):
-        q = int(q)
+        q = as_int(q, "q", ParameterError)
         if q >= MAX_MODULUS:
             raise NonPrimeModulusError(
                 f"field order {q} exceeds the supported maximum 2**62"
@@ -117,6 +128,7 @@ class PrimeField:
 
     def inv(self, a: int) -> int:
         """Multiplicative inverse, by Python's modular pow."""
+        a = as_int(a, "a", ParameterError)
         if a % self.q == 0:
             raise ZeroInverseError("zero has no multiplicative inverse")
         return pow(a, -1, self.q)
@@ -496,7 +508,8 @@ def mat_mul_mod(
     return out
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)
 def prime_field(q: int) -> PrimeField:
-    """Cached PrimeField factory; validates primality once per modulus."""
+    """Cached PrimeField factory; validates q once per value and type, so a
+    float equal to a cached q is refused like any other."""
     return PrimeField(q)

@@ -106,7 +106,7 @@ def max_m_for_budget(budget: int, l: int) -> int:
         raise BudgetTooSmallError(
             f"budget {budget} cannot hold one A share and one B share"
         )
-    return min(budget - 1, l)
+    return min(budget - 1, as_int(l, "l", ParameterError))
 
 
 def _array(value, what: str) -> np.ndarray:

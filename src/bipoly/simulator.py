@@ -15,6 +15,7 @@ Each row reports the mean over the trials and its standard error.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
@@ -46,6 +47,9 @@ class WorkerClass:
         object.__setattr__(self, "count", as_int(self.count, "count", ParameterError))
         if self.count < 1:
             raise ParameterError(f"worker class count must be >= 1, got {self.count}")
+        for name in ("lam", "nu"):
+            if not isinstance(getattr(self, name), numbers.Real):
+                raise ParameterError(f"{name}={getattr(self, name)!r} is not a real number")
         # NaN fails every comparison, so each check is written to pass.
         if not (math.isfinite(self.lam) and self.lam > 0):
             raise ParameterError(f"rate lam must be a finite number > 0, got {self.lam}")

@@ -9,13 +9,15 @@ Dims are integers with r, c >= 1, s >= 0, K | r and L | c
 (bivariate.block_dims), so every product block below has a whole,
 nonempty shape; dumps, loads and encode reject any other dims.
 
-Share files hold N records of
-    worker_id, x, y, A-share (r/K * s words, row-major),
-    m B-shares (s * c/L words each, row-major).
-
-Result files hold records of
-    worker_id, order, x, y, product (r/K * c/L words, row-major);
-the record count is implied by the file length.
+Each record kind is one numpy record dtype: u64 head fields, then
+'<i8' blocks, row-major.  Share files hold N records of
+    worker_id, x, y, A-share (1, r/K, s), B-share (m, s, c/L);
+result files hold records of
+    worker_id, order, x, y, product (1, r/K, c/L),
+as many as the file length implies.  numpy keeps a record dtype's
+itemsize in a C int and wraps 2**31 bytes with no error, so every dump,
+load and encode refuses a record of 2**28 words or more (counting an
+empty dimension as 1, as numpy does) by a WireFormatError naming dims.
 
 Field words (x, y and every matrix entry) are canonical residues below
 q; the dumps refuse to write, and the loaders refuse to read, any other
@@ -26,12 +28,12 @@ are deliberately absent: serialized bytes model exactly what the
 workers and master exchange.  The layout is bit-exact across platforms.
 
 Every blob is built one way, by one constructor that writes its
-header and head words once and hands back its set together with the
-writable words of its records; the code that made the set fills those
-words once, and no blob is written again once a set holds it.  A set
+header and head fields once and hands back its set together with its
+writable records; the code that made the set fills their blocks once,
+and no blob is written again once a set holds it.  A set
 (`ShareSet`, `ResultSet`) is a read-only sequence of `WorkerShare` or
 `PartialResult` over one blob: it carries the blob, its params and its
-dims, and its blocks are read-only int64 views of the records.
+dims, and its blocks are read-only views of the records' block fields.
 `scheme.encode` writes its generator products straight into a share
 blob, `scheme.compute_all` of a `ShareSet` its worker products into a
 result blob, and the packer copies the blocks of any other list into a
@@ -44,9 +46,9 @@ word and hands out the blob without a copy, as a read-only byte
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -57,6 +59,9 @@ MAGIC = int.from_bytes(b"FQPCODE1", "little")
 VERSION = 1
 
 _HEADER_WORDS = 11
+
+# Each record kind's u64 head fields, in record order: ids, then x and y.
+_HEADS = {"share": ("worker_id", "x", "y"), "result": ("worker_id", "order", "x", "y")}
 
 
 @dataclass(frozen=True)
@@ -80,79 +85,55 @@ class PartialResult:
     product: np.ndarray
 
 
-class _Record(NamedTuple):
-    """One record: the named u64 id words, then x and y, then groups of equal blocks."""
+def _record(params: SchemeParams, dims: tuple[int, int, int], kind: str) -> np.dtype:
+    """The numpy record dtype of one share or result record under a header.
 
-    ids: tuple[str, ...]
-    # Each group: name, number of blocks, block shape.
-    groups: tuple[tuple[str, int, tuple[int, int]], ...]
-
-    @property
-    def heads(self) -> tuple[str, ...]:
-        """Names of the words before the blocks."""
-        return self.ids + ("x", "y")
-
-    @property
-    def blocks(self) -> list[tuple[str, tuple[int, int]]]:
-        """Name and shape of each block, in record order."""
-        return [(name, shape) for name, count, shape in self.groups for _ in range(count)]
-
-    @property
-    def width(self) -> int:
-        return len(self.heads) + sum(h * w for _, (h, w) in self.blocks)
-
-    def regions(self, body: np.ndarray) -> list[np.ndarray]:
-        """Views of each group's words in every record, shape (records, blocks, h * w)."""
-        out, at = [], len(self.heads)
-        for _, count, (h, w) in self.groups:
-            out.append(body[:, at : at + count * h * w].reshape(len(body), count, h * w))
-            at += count * h * w
-        return out
-
-
-def _layout(params: SchemeParams, dims: tuple[int, int, int]) -> dict[str, _Record]:
-    """The share and result record layouts that a header describes."""
+    Its u64 head fields come first, then its '<i8' block fields, each a
+    (blocks, h, w) subarray; a record too large for numpy is refused.
+    """
     br, bc = block_dims(params.K, params.L, dims, WireFormatError)
-    s = dims[1]
-    return {
-        "share": _Record(("worker_id",), (("A-share", 1, (br, s)), ("B-share", params.m, (s, bc)))),
-        "result": _Record(("worker_id", "order"), (("product", 1, (br, bc)),)),
-    }
+    dims = tuple(int(d) for d in dims)
+    blocks = {
+        "share": (("A-share", (1, br, dims[1])), ("B-share", (params.m, dims[1], bc))),
+        "result": (("product", (1, br, bc)),),
+    }[kind]
+    width = len(_HEADS[kind]) + sum(math.prod(max(d, 1) for d in shape) for _, shape in blocks)
+    if width >= 1 << 28:
+        raise WireFormatError(
+            f"dims {dims} give a {kind} record of {width} words, counting an empty "
+            "dimension as 1; a record dtype holds fewer than 2**28"
+        )
+    return np.dtype(
+        [(name, "<u8") for name in _HEADS[kind]] + [(name, "<i8", shape) for name, shape in blocks]
+    )
 
 
-def _check_field_words(body: np.ndarray, rec: _Record, kind: str, q: int) -> None:
+def _check_field_words(words: np.ndarray, rec: np.dtype, kind: str, q: int) -> None:
     """x, y and every block word of every record are field elements below q."""
     # A negative entry wraps above 2**63, so this one test also refuses it.
     # Row by row, the strided records need no 64 KiB reduction buffer.
-    if body.size and int(body[:, len(rec.ids) :].max(axis=1).max()) >= q:
-        raise WireFormatError(
-            f"{kind} payload holds a word >= q={q}; field words must be < q"
-        )
+    body = words[_HEADER_WORDS:].reshape(-1, rec.itemsize // 8)[:, rec.fields["x"][1] // 8 :]
+    if body.size and int(body.max(axis=1).max()) >= q:
+        raise WireFormatError(f"{kind} payload holds a word >= q={q}; field words must be < q")
 
 
 class _BlobSet(Sequence):
     """The records of one blob as a read-only sequence; slices are plain lists.
 
     Carries the blob's params and dims.  The items are built once, from
-    one read of the head words, over read-only int64 views of the blocks.
+    one read of the head fields, over read-only views of the block fields.
     """
 
     kind = ""
 
     def __init__(self, params: SchemeParams, dims: tuple[int, int, int], words: np.ndarray):
-        rec = _layout(params, dims)[self.kind]
-        body = words[_HEADER_WORDS:].reshape(
-            (words.size - _HEADER_WORDS) // rec.width, rec.width
-        )
-        signed = body.view(np.int64)
-        signed.flags.writeable = False
-        blocks = [
-            region.reshape(len(body), count, h, w)
-            for region, (_, count, (h, w)) in zip(rec.regions(signed), rec.groups)
-        ]
+        rec = _record(params, dims, self.kind)
+        records = words[_HEADER_WORDS:].view(rec)
+        records.flags.writeable = False
         self.params, self.dims = params, tuple(dims)
-        self._rec, self._words, self._body = rec, words, body
-        heads = body[:, : len(rec.heads)].tolist()
+        self._words, self._records = words, records
+        heads = records[list(_HEADS[self.kind])].tolist()
+        blocks = [records[name] for name in rec.names[len(_HEADS[self.kind]) :]]
         self._items = tuple(self._make(params.q, heads, *blocks))
 
     def __len__(self) -> int:
@@ -168,7 +149,7 @@ class _BlobSet(Sequence):
 
     def blob(self) -> memoryview:
         """The blob's read-only bytes, once every field word is checked below q."""
-        _check_field_words(self._body, self._rec, self.kind, self.params.q)
+        _check_field_words(self._words, self._records.dtype, self.kind, self.params.q)
         return memoryview(self._words).toreadonly().cast("B")
 
 
@@ -195,41 +176,40 @@ class ResultSet(_BlobSet):
 
 
 def _new_set(
-    params: SchemeParams, dims: tuple[int, int, int], kind: str, heads
-) -> tuple[_BlobSet, list[np.ndarray]]:
-    """A new blob's set, its header and head words written once, and its writable regions.
+    params: SchemeParams, dims: tuple[int, int, int], kind: str, heads: dict
+) -> tuple[_BlobSet, np.ndarray]:
+    """A new blob's set, its header and head fields written once, and its writable records.
 
-    `heads` holds one row of u64 head words per record, in the layout's
-    head order (ids, x, y); their count is the record count.  Returns
-    the blob's set and the writable int64 words of each record group,
-    shape (records, blocks, h * w), for the caller to fill once.
+    `heads` maps each head field to its u64 values, one per record.
     """
-    rec = _layout(params, dims)[kind]
-    # Explicit shapes: -1 cannot be inferred from zero records.
-    heads = np.asarray(heads, dtype=np.uint64).reshape(len(heads), len(rec.heads))
-    words = np.empty(_HEADER_WORDS + len(heads) * rec.width, dtype="<u8")
+    rec = _record(params, dims, kind)
+    words = np.empty(_HEADER_WORDS + len(heads["x"]) * rec.itemsize // 8, dtype="<u8")
     words[:_HEADER_WORDS] = (
         MAGIC, VERSION, params.q, params.K, params.L, params.T, params.m, params.N, *dims
     )
-    body = words[_HEADER_WORDS:].reshape(len(heads), rec.width)
-    body[:, : len(rec.heads)] = heads
+    records = words[_HEADER_WORDS:].view(rec)
+    for name, values in heads.items():
+        records[name] = np.asarray(values, dtype=np.uint64)
     made = (ShareSet if kind == "share" else ResultSet)(params, dims, words)
-    return made, rec.regions(body.view(np.int64))
+    return made, records
 
 
 def share_set(
     params: SchemeParams, dims: tuple[int, int, int], points: Sequence[EvalPoint]
 ) -> tuple[ShareSet, np.ndarray, np.ndarray]:
-    """A share blob for encode, its header and head words written once.
+    """A share blob for encode, its header and head fields written once.
 
     Worker i + 1 gets points[i], whose coordinates must be canonical.
-    Returns the blob's set and the writable int64 A and B regions of its
-    records, shapes (N, 1, r/K * s) and (N, m, s * c/L), for encode's
+    Returns the blob's set and the writable A and B shares of its
+    records, shapes (N, r/K * s) and (N, m, s * c/L), for encode's
     generator products.
     """
-    heads = [(i, x, y) for i, (x, y) in enumerate(points, 1)]
-    shares, (side_a, side_b) = _new_set(params, dims, "share", heads)
-    return shares, side_a, side_b
+    n = len(points)
+    xs, ys = zip(*points)
+    shares, records = _new_set(
+        params, dims, "share", {"worker_id": range(1, n + 1), "x": xs, "y": ys}
+    )
+    return shares, records["A-share"].reshape(n, -1), records["B-share"].reshape(n, params.m, -1)
 
 
 def result_set(shares: ShareSet) -> tuple[ResultSet, np.ndarray]:
@@ -241,14 +221,11 @@ def result_set(shares: ShareSet) -> tuple[ResultSet, np.ndarray]:
     blocks, width) destination.
     """
     n, m = len(shares), shares.params.m
-    # Share heads (worker_id, x, y) into result heads (worker_id, order, x, y).
-    heads = np.empty((n, m, 4), dtype=np.uint64)
-    heads[:, :, [0, 2, 3]] = shares._body[:, None, :3]
-    heads[:, :, 1] = np.arange(m)
-    heads = heads.reshape(n * m, 4)
-    results, (products,) = _new_set(shares.params, shares.dims, "result", heads)
-    br, bc = results._rec.groups[0][2]
-    return results, products.reshape(n, m, br, bc).transpose(0, 2, 1, 3)
+    heads = {name: np.repeat(shares._records[name], m) for name in ("worker_id", "x", "y")}
+    heads["order"] = np.tile(np.arange(m), n)
+    results, records = _new_set(shares.params, shares.dims, "result", heads)
+    _, br, bc = records.dtype["product"].shape
+    return results, records["product"].reshape(n, m, br, bc).transpose(0, 2, 1, 3)
 
 
 def _block(blk, shape: tuple[int, int], what: str) -> np.ndarray:
@@ -277,28 +254,28 @@ def _pack(
     EvalPoint of field elements, as decode requires, and each block
     integers of the shape that dims give it.
     """
-    rec = _layout(params, dims)[kind]
-    heads, checked = [], []
+    rec = _record(params, dims, kind)
+    names = _HEADS[kind]
+    # One slot per block in record order: field, index in the field, shape.
+    slots = [(name, j, rec[name].shape[1:])
+             for name in rec.names[len(names) :] for j in range(rec[name].shape[0])]
+    heads, checked = {name: [] for name in names}, []
     for ids, point, blocks, what in records:
         checked.append([
-            _block(blk, shape, f"{what} {name}") for blk, (name, shape) in zip(blocks, rec.blocks)
+            _block(blk, shape, f"{what} {name}") for blk, (name, _, shape) in zip(blocks, slots)
         ])
-        ids = [as_int(value, name, WireFormatError, what) for name, value in zip(rec.ids, ids)]
-        for name, value in zip(rec.ids, ids):
+        ids = [as_int(value, name, WireFormatError, what) for name, value in zip(names, ids)]
+        for name, value in zip(names, ids):
             if not 0 <= value < 1 << 64:
                 raise WireFormatError(f"{what}: {name}={value} does not fit a u64 word")
         check_field_point(point, params.q, what, WireFormatError)
-        heads.append([*ids, *point])
-    packed, regions = _new_set(params, dims, kind, heads)
-    # u64 views, so a block of any integer dtype is written bit for bit.
-    views = [
-        region[:, j].view(np.uint64).reshape(len(records), h, w)
-        for region, (_, count, (h, w)) in zip(regions, rec.groups)
-        for j in range(count)
-    ]
+        for name, value in zip(names, (*ids, *point)):
+            heads[name].append(value)
+    packed, out = _new_set(params, dims, kind, heads)
+    # Assignment casts unsafely, so a block of any integer dtype is written bit for bit.
     for i, blocks in enumerate(checked):
-        for view, blk in zip(views, blocks):
-            view[i] = blk
+        for blk, (name, j, _) in zip(blocks, slots):
+            out[name][i, j] = blk
     return packed
 
 
@@ -318,15 +295,14 @@ def _unpack(data: bytes, kind: str) -> tuple[SchemeParams, tuple[int, int, int],
         params, dims = SchemeParams(K=k, L=l, T=t, m=m, N=n, q=q), (r, s, c)
     except BipolyError as err:
         raise WireFormatError(f"header holds invalid parameters: {err}") from None
-    rec = _layout(params, dims)[kind]
-    body = words[_HEADER_WORDS:]
-    count = params.N if kind == "share" else body.size // rec.width
-    if body.size != count * rec.width:
+    rec = _record(params, dims, kind)
+    width, size = rec.itemsize // 8, words.size - _HEADER_WORDS
+    count = params.N if kind == "share" else size // width
+    if size != count * width:
         raise WireFormatError(
-            f"{kind} payload holds {body.size} words, "
-            f"not {count} whole records of {rec.width} words"
+            f"{kind} payload holds {size} words, not {count} whole records of {width} words"
         )
-    _check_field_words(body.reshape(count, rec.width), rec, kind, params.q)
+    _check_field_words(words, rec, kind, params.q)
     return params, dims, words
 
 

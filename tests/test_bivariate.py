@@ -70,6 +70,11 @@ def test_xi_refuses_a_negative_corner():
         xi(-1, 2)
 
 
+def test_xi_names_a_corner_that_is_not_an_integer():
+    with pytest.raises(ParameterError, match=r"^a=1\.5 is not an integer"):
+        xi(1.5, 2)  # once 10.5
+
+
 def test_params_take_numpy_integers_as_python_ints():
     p = SchemeParams(*(np.int64(v) for v in (2, 3, 1, 2)), N=np.uint8(4), q=np.int32(101))
     assert p == params(2, 3, 1, 2, N=4, q=101)

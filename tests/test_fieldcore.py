@@ -580,3 +580,20 @@ def test_kernel_returns_int64_at_every_q():
         out = f.mat_mul(a, f.asarray([[1], [q - 1]]))
         assert out.dtype == np.int64
         assert np.array_equal(out, python_int_mat_mul(a, [[1], [q - 1]], q))
+
+
+def test_the_field_order_must_be_an_integer():
+    # int(q) once made prime_field(101.5) the field F_101.
+    with pytest.raises(BipolyError, match=r"^q=101\.5 is not an integer"):
+        prime_field(101.5)
+    assert prime_field(np.int64(101)) == PrimeField(101)
+    prime_field(101)
+    with pytest.raises(BipolyError, match=r"^q=101\.0 is not an integer"):
+        prime_field(101.0)  # equal to a cached key, yet refused
+
+
+def test_inverse_names_an_argument_that_is_not_an_integer():
+    # pow's bare TypeError before.
+    with pytest.raises(BipolyError, match=r"^a=2\.5 is not an integer"):
+        prime_field(7).inv(2.5)
+    assert prime_field(7).inv(np.int64(3)) == 5

@@ -292,6 +292,7 @@ def test_sweep_rejects_negative_max_failures():
 @pytest.mark.parametrize("change, match", [
     (dict(max_failures=2.5), "^max_failures=2.5 is not an integer"),
     (dict(T=2.0), "^T=2.0 is not an integer"),
+    (dict(q=101.5), r"^q=101\.5 is not an integer"),  # once a report for F_101
 ])
 def test_sweep_names_a_count_that_is_not_an_integer(change, match):
     # These once raised islice's bare ValueError and math.comb's TypeError.

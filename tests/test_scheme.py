@@ -717,6 +717,11 @@ def test_max_m_for_budget_names_a_budget_that_is_not_an_integer():
         max_m_for_budget(3.5, 5)  # once 2.5
 
 
+def test_max_m_for_budget_names_a_cap_that_is_not_an_integer():
+    with pytest.raises(ParameterError, match=r"^l=2\.5 is not an integer"):
+        max_m_for_budget(5, 2.5)  # once 2.5
+
+
 @pytest.mark.parametrize("size, match", [(-1, "size must be >= 0, got -1"),
                                          (2.5, "^size=2.5 is not an integer")])
 def test_random_prefix_subset_refuses_a_size_that_is_no_count(size, match):

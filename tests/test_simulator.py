@@ -191,6 +191,15 @@ def test_worker_class_refuses_non_finite_values(field, value):
         WorkerClass(**kwargs)
 
 
+@pytest.mark.parametrize("value", ["2", None])
+@pytest.mark.parametrize("field", ["lam", "nu"])
+def test_worker_class_names_a_value_that_is_not_a_real_number(field, value):
+    # math.isfinite's bare TypeError before.
+    kwargs = {"count": 1, "lam": 1.0, "nu": 0.0, field: value}
+    with pytest.raises(ParameterError, match=rf"^{field}={value!r} is not a real number$"):
+        WorkerClass(**kwargs)
+
+
 @pytest.mark.parametrize("change, match", [
     (dict(trials=2.5), "^trials=2.5 is not an integer"),
     (dict(seed=1.5), "^seed=1.5 is not an integer"),

@@ -576,6 +576,35 @@ def test_zero_and_one_record_result_blobs_round_trip_through_sets(count):
     assert wire.dump_results(params, dims2, loaded) == down
 
 
+def header(p, dims):
+    return np.array(
+        [wire.MAGIC, wire.VERSION, p.q, p.K, p.L, p.T, p.m, p.N, *dims], dtype="<u8"
+    ).tobytes()
+
+
+def test_record_size_limit_at_its_boundary():
+    # numpy wraps a record dtype of 2**31 bytes to a negative itemsize.
+    p = SchemeParams(K=1, L=1, T=0, m=1, N=1, q=101)
+    at = (1, 5, 2**28 - 4)  # a result record of 4 + 2**28 - 4 words
+    with pytest.raises(WireFormatError, match=re.escape(f"dims {at} give a result record")):
+        wire.load_results(header(p, at))
+    with pytest.raises(WireFormatError, match=re.escape(f"dims {at} give a result record")):
+        wire.dump_results(p, at, [])
+    below = (1, 5, 2**28 - 5)
+    params, dims, loaded = wire.load_results(header(p, below))
+    assert isinstance(loaded, wire.ResultSet) and len(loaded) == 0 and dims == below
+    assert bytes(wire.dump_results(params, dims, loaded)) == header(p, below)
+    assert bytes(wire.dump_results(p, below, [])) == header(p, below)
+
+
+def test_record_size_limit_counts_an_empty_dimension_as_one():
+    # numpy sizes a (1, r/K, 0) block as if it were (1, r/K, 1).
+    p = SchemeParams(K=1, L=1, T=0, m=1, N=1, q=101)
+    dims = (2**62, 0, 1)
+    with pytest.raises(WireFormatError, match=re.escape(f"dims {dims} give a share record")):
+        wire.load_shares(header(p, dims) + bytes(24))
+
+
 def test_results_are_born_in_their_blob():
     # Many small records: the per-worker scratch of compute_all stays
     # below the slack, while a second copy of the products would not.
