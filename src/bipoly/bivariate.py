@@ -17,7 +17,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import BipolyError, DimensionMismatchError, InvalidOrderError, ParameterError
-from .fieldcore import PrimeField, as_int, mat_mul_mod, mul_mod, prime_field
+from .fieldcore import PrimeField, as_int, as_int_array, mat_mul_mod, mul_mod, prime_field
 
 
 class EvalPoint(NamedTuple):
@@ -195,8 +195,8 @@ def _block_array(blocks, counts: tuple, what: str, field: PrimeField, shape=None
 
     `counts` gives the nesting: (T,) for the A-side masks, (T, m) for the
     B side's.  Every block has `shape`, or the first block's shape; a
-    count or a shape that differs, a level that is not a sequence and a
-    block that is not a field array raise a BipolyError naming `what`.
+    count or shape that differs, a level that is not a sequence and a
+    block that is not integers raise a DimensionMismatchError naming `what`.
     """
     flat = [blocks]
     for n in counts:
@@ -207,14 +207,12 @@ def _block_array(blocks, counts: tuple, what: str, field: PrimeField, shape=None
         if not counted:
             raise DimensionMismatchError(f"{what}: expected {' x '.join(map(str, counts))} blocks")
         flat = [blk for level in flat for blk in level]
-    try:
-        flat = [field.asarray(blk) for blk in flat]
-    except BipolyError as err:
-        raise type(err)(f"{what}: {err}") from None
+    block = f"{what}: a block"
+    flat = [field.asarray(as_int_array(blk, block, DimensionMismatchError)) for blk in flat]
     shape = flat[0].shape if shape is None else shape
     for blk in flat:
         if blk.shape != shape:
-            raise DimensionMismatchError(f"{what}: a block of shape {blk.shape}, not {shape}")
+            raise DimensionMismatchError(f"{block} of shape {blk.shape}, not {shape}")
     return np.array(flat, dtype=np.int64).reshape(counts + shape)
 
 

@@ -42,7 +42,6 @@ from .simulator import (
     sweep_rows_to_csv,
 )
 
-_ENUMERABLE_MI_LIMITS = {"q": 7, "T": 2, "m": 2}
 # A valid class whose fields a config value replaces one at a time.
 _SOME_CLASS = WorkerClass(count=1, lam=1.0, nu=0.0)
 
@@ -272,9 +271,8 @@ def _cmd_privacy(args: argparse.Namespace) -> int:
             print(f"  deficient matrix {check.failed_name} "
                   f"(rank_a={check.rank_a}, rank_b={check.rank_b}):")
             print("  " + str(check.witness).replace("\n", "\n  "))
-    lim = _ENUMERABLE_MI_LIMITS
-    if (params.q <= lim["q"] and params.K == 1 and params.L == 1
-            and params.T <= lim["T"] and params.m <= lim["m"]):
+    # Small enough to enumerate: at most 7**6 states (L == 1 bounds m by 1, as m <= L).
+    if params.q <= 7 and params.K == 1 and params.L == 1 and params.T <= 2:
         points = sample_points(params, np.random.default_rng(args.seed))
         mi = exhaustive_mi_check(
             points[: params.T], params.K, params.T, params.m, params.q

@@ -19,7 +19,7 @@ class ZeroInverseError(BipolyError, ZeroDivisionError):
 
 
 class DimensionMismatchError(BipolyError):
-    """Matrix operands have incompatible shapes."""
+    """Matrix operands have incompatible shapes or are not integer arrays."""
 
 
 class ParameterError(BipolyError):

@@ -73,6 +73,25 @@ def as_int(value, name: str, error: type[BipolyError], what: str = "") -> int:
         raise error(f"{what}{': ' if what else ''}{name}={value!r} is not an integer") from None
 
 
+def as_int_array(values, name: str, error: type[BipolyError]) -> np.ndarray:
+    """values as a numpy array of integers: a bool, signed or unsigned dtype, or
+    object entries that all are integers of any size.  A ragged nesting or any
+    other entry (float, complex, str) is refused, not parsed: `error` names `name`."""
+    try:
+        arr = np.asarray(values)
+    except ValueError:
+        raise error(f"{name} is a ragged nested sequence, not a rectangular array") from None
+    exact = arr
+    if arr.dtype.kind == "f" and not isinstance(values, np.ndarray):
+        # numpy promotes a list mixing ints beyond int64 to float64.
+        exact = np.array(values, dtype=object)
+    if exact.dtype.kind in "biu" or (
+        exact.dtype == object and all(isinstance(v, (int, np.integer)) for v in exact.flat)
+    ):
+        return exact
+    raise error(f"{name} holds {arr.dtype} entries, not integers")
+
+
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality test, exact for n < 2**64."""
     if n < 2:
@@ -136,28 +155,9 @@ class PrimeField:
     # -- array plumbing --------------------------------------------------
 
     def asarray(self, values) -> np.ndarray:
-        """Canonical int64 field array from any integer array-like.
-
-        Signed, unsigned, bool and object (Python int) arrays are accepted;
-        any other dtype, such as float or str, an object entry that is not
-        an integer, and a ragged input are refused, not parsed.
-        """
-        try:
-            arr = np.asarray(values)
-        except ValueError:
-            raise DimensionMismatchError("field elements must form a rectangular array") from None
-        if arr.dtype.kind == "f" and not isinstance(values, np.ndarray):
-            # numpy promotes a list mixing ints beyond int64 to float64.
-            exact = np.array(values, dtype=object)
-            if all(isinstance(v, (int, np.integer)) for v in exact.flat):
-                arr = exact
-        integers = arr.dtype.kind in "biu" or (
-            arr.dtype == object and all(isinstance(v, (int, np.integer)) for v in arr.flat)
-        )
-        if not integers:
-            raise BipolyError(
-                f"field elements must be integers, got {arr.dtype} input"
-            )
+        """Canonical int64 field array from any integer array-like; as_int_array
+        refuses any other input with a DimensionMismatchError."""
+        arr = as_int_array(values, "a field array", DimensionMismatchError)
         if arr.dtype == object or arr.dtype == np.uint64:
             # Reduce before the int64 cast, which wraps values >= 2**63.
             return (arr % self.q).astype(np.int64)

@@ -22,9 +22,9 @@ and `exhaustive_mi_check` (mutual information by enumeration, toy
 scale) test the rank criterion independently of it.
 
 These checks deliberately take the masking dimensions (K, T, m, q)
-directly: the column-partition count L never enters the coalition's
-view, so toy instances are not forced to satisfy the decode-side
-m <= L coupling.
+directly: L never enters the coalition's view, so toy instances need
+not satisfy the decode-side m <= L coupling.  All four take them, and
+the points, through one check (_coalition), so they refuse alike.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .errors import (
     ParameterError,
     TooLargeToEnumerateError,
 )
-from .fieldcore import prime_field
+from .fieldcore import PrimeField, prime_field
 
 # Hard cap on exhaustive enumeration: q**(2 + T + T*m) states.
 _ENUM_LIMIT = 20_000_000
@@ -74,11 +74,22 @@ class PrivacyCheck:
     witness: np.ndarray | None = None
 
 
-def _validate_points(points: Sequence[EvalPoint], t: int) -> None:
-    if len(points) != t:
-        raise ParameterError(f"expected {t} coalition points, got {len(points)}")
-    if len(set(points)) != len(points):
-        raise DuplicatePointsError(f"coalition points are not distinct: {points}")
+def _coalition(
+    points: Sequence[EvalPoint], K: int, T: int, m: int, q: int
+) -> tuple[PrimeField, list[EvalPoint]]:
+    """F_q and the points mod q, the inputs of every check here: q prime, K, T and m
+    integers >= 0, points EvalPoints of integers of any size; else a ParameterError."""
+    field = prime_field(q)
+    for name, value in (("K", K), ("T", T), ("m", m)):
+        if as_int(value, name, ParameterError) < 0:
+            raise ParameterError(f"{name} must be >= 0, got {value}")
+    reduced = []
+    for i, point in enumerate(points):
+        if not isinstance(point, EvalPoint):
+            raise ParameterError(f"point {i} is {point!r}; expected an EvalPoint")
+        x, y = (as_int(v, name, ParameterError, f"point {i}") for name, v in zip("xy", point))
+        reduced.append(EvalPoint(x % field.q, y % field.q))
+    return field, reduced
 
 
 def mask_matrices(
@@ -92,11 +103,12 @@ def mask_matrices(
     points (bivariate.generators): the A side past its K partition
     columns, and the whole B side when it has no partition columns (L = 0).
     """
-    field = prime_field(q)
-    _validate_points(points, T)
-    if as_int(K, "K", ParameterError) < 0 or as_int(m, "m", ParameterError) < 0:
-        raise ParameterError(f"K and m must be >= 0, got K={K}, m={m}")
-    gen_a, gen_b = generators(points, K, 0, T, m, field)
+    field, reduced = _coalition(points, K, T, m, q)
+    if len(points) != T:
+        raise ParameterError(f"expected {T} coalition points, got {len(points)}")
+    if len(set(points)) != len(points):
+        raise DuplicatePointsError(f"coalition points are not distinct: {points}")
+    gen_a, gen_b = generators(reduced, K, 0, T, m, field)
     return MaskMatrices(a_coeffs=gen_a[:, K:], b_coeffs=gen_b)
 
 
@@ -109,7 +121,7 @@ def perfect_privacy_check(
     mask combination, so the coalition's view is a one-time-pad image.
     A failed check returns the rank-deficient matrix as witness.
     """
-    field = prime_field(q)
+    field, _ = _coalition(points, K, T, m, q)
     mats = mask_matrices(points, K, T, m, q)
     rank_a = field.rank(mats.a_coeffs) if T else 0
     rank_b = field.rank(mats.b_coeffs) if T else 0
@@ -156,17 +168,15 @@ def sweep_collusion_subsets(
     stops at the `max_failures`-th failure; more than 2,000,000 subsets
     raise TooLargeToEnumerateError.
     """
-    prime_field(q)
-    if as_int(T, "T", ParameterError) < 0:
-        raise ParameterError(f"tolerance T must be >= 0, got {T}")
+    field, points = _coalition(points, K, T, m, q)
     if as_int(max_failures, "max_failures", ParameterError) < 0:
         raise ParameterError(f"max_failures must be >= 0, got {max_failures}")
     if T == 0:
         return SweepReport(0, ())
     n = len(points)
-    residues = [pt.x % q for pt in points]
+    residues = [pt.x for pt in points]
     count = math.comb(n, T)
-    if _private(residues, K, m, q):
+    if _private(residues, K, m, field.q):
         return SweepReport(count, ())
     if count > _SUBSET_LIMIT:
         raise TooLargeToEnumerateError(
@@ -174,7 +184,7 @@ def sweep_collusion_subsets(
         )
     failing = (
         sub for sub in combinations(range(n), T)
-        if not _private([residues[i] for i in sub], K, m, q)
+        if not _private([residues[i] for i in sub], K, m, field.q)
     )
     return SweepReport(count, tuple(islice(failing, max_failures)))
 
@@ -202,7 +212,7 @@ def exhaustive_mi_check(
     then q^2 times the image.  zero_r_masks pins the left masks to zero
     to instrument a deliberately broken encoding.
     """
-    prime_field(q)
+    _coalition(points, K, T, m, q)
     if K != 1:
         raise ParameterError(
             "exhaustive enumeration covers single-partition instances (K = 1)"

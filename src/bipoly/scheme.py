@@ -42,7 +42,7 @@ from .errors import (
     ParameterError,
     ResponseContractError,
 )
-from .fieldcore import mat_mul_mod, prime_field
+from .fieldcore import as_int_array, mat_mul_mod, prime_field
 # The share and result records live with their wire layout; scheme
 # re-exports them as part of its API.
 from .wire import PartialResult, ResultSet, ShareSet, WorkerShare, result_set, share_set
@@ -106,17 +106,10 @@ def max_m_for_budget(budget: int, l: int) -> int:
         raise BudgetTooSmallError(
             f"budget {budget} cannot hold one A share and one B share"
         )
-    return min(budget - 1, as_int(l, "l", ParameterError))
-
-
-def _array(value, what: str) -> np.ndarray:
-    """np.asarray of an operand or product; a ragged nested list names `what`."""
-    try:
-        return np.asarray(value)
-    except ValueError:
-        raise DimensionMismatchError(
-            f"{what} is a ragged nested sequence, not a rectangular array"
-        ) from None
+    l = as_int(l, "l", ParameterError)
+    if l < 1:
+        raise ParameterError(f"cap l must be >= 1, got {l}")
+    return min(budget - 1, l)
 
 
 def sample_points(params: SchemeParams, rng: np.random.Generator) -> list[EvalPoint]:
@@ -189,15 +182,17 @@ def encode(
 ) -> Encoding:
     """Produce the N worker shares for multiplying a @ b, as one blob's ShareSet.
 
-    Masks default to fresh uniform draws; points default to
-    sample_points().  Both can be injected for deterministic tests;
-    injected points must be field elements and, with T >= 1, have
-    nonzero, pairwise distinct x; injected masks must be T blocks of
-    shape (r/K, s) and a T x m grid of (s, c/L).  The returned masks
+    a and b are integer matrices (as_int_array), reduced mod q.  Masks
+    default to fresh uniform draws; points default to sample_points().
+    Both can be injected for deterministic tests; injected points must
+    be field elements and, with T >= 1, have nonzero, pairwise distinct
+    x; injected masks must be T blocks of shape (r/K, s) and a T x m
+    grid of (s, c/L).  The returned masks
     exist for test instrumentation only and must never be serialized
     alongside worker-facing data.
     """
-    a, b = _array(a, "A"), _array(b, "B")
+    a = as_int_array(a, "A", DimensionMismatchError)
+    b = as_int_array(b, "B", DimensionMismatchError)
     for name, operand in (("A", a), ("B", b)):
         if operand.ndim != 2:
             raise DimensionMismatchError(f"{name} must be a 2-D matrix, got shape {operand.shape}")
@@ -281,8 +276,8 @@ def validate_responses(
     Every worker_id and order is an integer and every point an EvalPoint
     of field elements.  Each worker's orders read 0, 1, ..., k-1 with
     k <= m (no gaps, no duplicates), its responses report one point, and
-    every product has the same 2-D shape.  Distinct workers that share a
-    point are left to the solve, which finds the system singular.
+    every product is an integer array of one 2-D shape.  Distinct workers
+    that share a point are left to the solve, which finds it singular.
     """
     for res in results:
         what = f"worker {res.worker_id} order {res.order}"
@@ -308,7 +303,8 @@ def validate_responses(
                     f"worker {wid} reports points {tuple(run[0].point)} and "
                     f"{tuple(res.point)}; expected one point per worker"
                 )
-            shapes.add(_array(res.product, f"worker {wid} order {res.order} product").shape)
+            what = f"worker {wid} order {res.order} product"
+            shapes.add(as_int_array(res.product, what, DimensionMismatchError).shape)
     if any(len(shape) != 2 for shape in shapes):
         raise DimensionMismatchError(f"result products must be 2-D, got shapes {sorted(shapes)}")
     if len(shapes) > 1:

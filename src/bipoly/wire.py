@@ -52,8 +52,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bivariate import EvalPoint, SchemeParams, as_int, block_dims, check_field_point
+from .bivariate import EvalPoint, SchemeParams, block_dims, check_field_point
 from .errors import BipolyError, WireFormatError
+from .fieldcore import as_int, as_int_array
 
 MAGIC = int.from_bytes(b"FQPCODE1", "little")
 VERSION = 1
@@ -229,19 +230,14 @@ def result_set(shares: ShareSet) -> tuple[ResultSet, np.ndarray]:
 
 
 def _block(blk, shape: tuple[int, int], what: str) -> np.ndarray:
-    """blk as a bool or integer array of `shape` whose words fit u64; any other is named."""
-    try:
-        arr = np.asarray(blk)
-    except ValueError:
-        raise WireFormatError(f"{what} is a ragged nested sequence") from None
+    """blk as an integer array of `shape` whose words fit u64; any other is named."""
+    arr = as_int_array(blk, what, WireFormatError)
     if arr.shape != shape:
         raise WireFormatError(f"{what} has block shape {arr.shape}, but dims give {shape}")
-    if arr.dtype == object and all(
-        isinstance(v, (int, np.integer)) and 0 <= v < 1 << 64 for v in arr.flat
-    ):
+    if arr.dtype == object:
+        if not all(0 <= v < 1 << 64 for v in arr.flat):
+            raise WireFormatError(f"{what} holds object entries, not integers in [0, 2**64)")
         arr = np.array(arr.tolist(), dtype=np.uint64).reshape(shape)
-    if arr.dtype.kind not in "biu":
-        raise WireFormatError(f"{what} holds {arr.dtype} entries, not integers in [0, 2**64)")
     return arr
 
 

@@ -1,17 +1,23 @@
-"""Fuzz the entry points that take matrices, responses or bytes from a caller.
+"""Fuzz the entry points that take matrices, responses, coalitions or bytes.
 
-`PrimeField.mat_mul`, `worker_compute`, `compute_all` of a plain list
-and both dumps of plain lists get canonical operands with one of them
-mutated: a float, complex, string or bool array, an int64 or object
-entry outside [0, q), a ragged nested list or a wrong shape.  Every call
-must either match the Python-int oracle or raise a BipolyError; no
-other exception may escape.  `decode` gets a response set with one
-response's worker_id, order, point or product broken, and must return
-A @ B or raise a BipolyError.  Both loads get blobs with header words
-at their edges, swapped or truncated, and must return a set or raise a
-WireFormatError.
+`PrimeField.mat_mul`, `encode`, `worker_compute`, `compute_all` of a
+plain list and both dumps of plain lists get canonical operands with one
+of them mutated: a float, complex, string or bool array, an int64 or
+object entry outside [0, q), a ragged nested list or a wrong shape.
+Every call must either match the Python-int oracle or raise a
+BipolyError; no other exception may escape.  `decode` gets a response
+set with one response's worker_id, order, point or product broken, and
+must return A @ B or raise a BipolyError.  The four privacy checks get
+a coalition with K, T or m mutated (negative, float, str) or one point
+mutated (a tuple, a float coordinate, a non-canonical integer); each
+must give what it gives on the canonical coalition, or, for an input
+outside the contract, raise a BipolyError, and the sweep refuses
+exactly what the rank check refuses.  Both loads get blobs with header
+words at their edges, swapped or truncated, and must return a set or
+raise a WireFormatError.
 """
 
+import dataclasses
 import functools
 from dataclasses import replace
 
@@ -26,6 +32,12 @@ from bipoly import wire  # noqa: E402
 from bipoly.bivariate import EvalPoint, SchemeParams  # noqa: E402
 from bipoly.errors import BipolyError, WireFormatError  # noqa: E402
 from bipoly.fieldcore import prime_field  # noqa: E402
+from bipoly.privacy import (  # noqa: E402
+    exhaustive_mi_check,
+    mask_matrices,
+    perfect_privacy_check,
+    sweep_collusion_subsets,
+)
 from bipoly.scheme import compute_all, decode, encode, worker_compute  # noqa: E402
 
 PRIMES = [101, 2**31 - 1, 4611686018427387847]
@@ -84,6 +96,15 @@ def mutate(data, base: np.ndarray, q: int, inner_axis: int):
     return out, entries
 
 
+def mutate_either(data, a: np.ndarray, b: np.ndarray, q: int):
+    """(a, b, ea, eb): a drawn one of the factors of a @ b mutated, and both entries."""
+    if data.draw(st.booleans(), label="mutate a"):
+        a, ea = mutate(data, a, q, 1)
+        return a, b, ea, b.tolist()
+    b, eb = mutate(data, b, q, 0)
+    return a, b, a.tolist(), eb
+
+
 def product(a, b, q: int):
     """The Python-int product of two integer matrices mod q."""
     return [[sum(x * y for x, y in zip(row, col)) % q for col in zip(*b)] for row in a]
@@ -140,14 +161,29 @@ def fits(entries, q: int) -> bool:
 def test_mat_mul_matches_the_oracle_or_raises(q, data):
     rows, inner, cols = (data.draw(st.integers(2, 4)) for _ in range(3))
     a, b = canonical(data, q, rows, inner), canonical(data, q, inner, cols)
-    if data.draw(st.booleans(), label="mutate a"):
-        a, ea = mutate(data, a, q, 1)
-        eb = b.tolist()
-    else:
-        b, eb = mutate(data, b, q, 0)
-        ea = a.tolist()
+    a, b, ea, eb = mutate_either(data, a, b, q)
     want = None if ea is None or eb is None else product(ea, eb, q)
     expect(lambda: prime_field(q).mat_mul(a, b).tolist(), want)
+
+
+@pytest.mark.parametrize("q", PRIMES)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_encode_matches_the_oracle_or_raises(q, data):
+    # Points and masks come from the rng alone, so an integer operand
+    # gives the shares of its entries reduced mod q.
+    p, _, _ = pipeline(q)
+    r, s, c = DIMS
+    a, b, ea, eb = mutate_either(data, canonical(data, q, r, s), canonical(data, q, s, c), q)
+
+    def shares(a, b):
+        return bytes(encode(p, a, b, np.random.default_rng(0)).shares.blob())
+
+    def reduced(entries):
+        return np.array([[v % q for v in row] for row in entries], dtype=np.int64)
+
+    want = None if ea is None or eb is None else shares(reduced(ea), reduced(eb))
+    expect(lambda: shares(a, b), want)
 
 
 @pytest.mark.parametrize("q", PRIMES)
@@ -272,3 +308,63 @@ def test_a_load_of_a_broken_header_returns_a_set_or_raises(q, kind, data):
     except WireFormatError:
         return
     assert isinstance(loaded, made)
+
+
+PRIVACY_CHECKS = (
+    sweep_collusion_subsets, mask_matrices, perfect_privacy_check, exhaustive_mi_check,
+)
+
+
+def mutated_coalition(data, q: int):
+    """(args, canonical, valid): the privacy checks' arguments with at most one
+    count or point mutated, the arguments before it, and whether it kept them valid."""
+    K, T, m = (data.draw(st.integers(low, 2), label=name) for name, low in zip("KTm", (0, 1, 0)))
+    # Small x coordinates make zero and repeated x, so failing coalitions, common.
+    xs = st.one_of(st.integers(0, 2), st.integers(0, q - 1))
+    pairs = data.draw(st.lists(st.tuples(xs, st.integers(0, q - 1)), min_size=T, max_size=T,
+                               unique=True), label="points")
+    canonical = {"points": [EvalPoint(x, y) for x, y in pairs], "K": K, "T": T, "m": m, "q": q}
+    args = dict(canonical, points=list(canonical["points"]))
+    kind = data.draw(st.sampled_from(["none", "count", "tuple", "float", "noncanonical"]))
+    i = data.draw(st.integers(0, T - 1), label="point")
+    x, y = args["points"][i]
+    if kind == "count":
+        name = data.draw(st.sampled_from("KTm"), label="count")
+        args[name] = data.draw(st.sampled_from([-1, float(args[name]), str(args[name])]))
+    elif kind == "tuple":
+        args["points"][i] = (x, y)
+    elif kind == "float":
+        args["points"][i] = data.draw(st.sampled_from([EvalPoint(float(x), y), EvalPoint(x, 0.5)]))
+    elif kind == "noncanonical":
+        dx, dy = (data.draw(st.integers(-(2**70), 2**70), label="multiple") for _ in "xy")
+        args["points"][i] = EvalPoint(x + dx * q, y + dy * q)
+    return args, canonical, kind in ("none", "noncanonical")
+
+
+def outcome(call):
+    """call()'s result as plain values, or the class of the BipolyError it raised."""
+    try:
+        got = call()
+    except BipolyError as err:
+        return type(err)
+    if dataclasses.is_dataclass(got):
+        return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in vars(got).items()}
+    return got
+
+
+# At q = 5 the mutual-information check enumerates every draw; at 101
+# only those with T = 1 and m = 0, and it refuses the rest, and every
+# draw at the two larger q, as too large to enumerate.
+@pytest.mark.parametrize("q", [5] + PRIMES)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_privacy_checks_match_the_oracle_or_raise(q, data):
+    args, canonical, valid = mutated_coalition(data, q)
+    got = {check: outcome(lambda: check(**args)) for check in PRIVACY_CHECKS}
+    for check, value in got.items():
+        if valid:
+            assert value == outcome(lambda: check(**canonical)), check.__name__
+        else:
+            assert isinstance(value, type) and issubclass(value, BipolyError), check.__name__
+    refused = {check: isinstance(value, type) for check, value in got.items()}
+    assert refused[sweep_collusion_subsets] == refused[perfect_privacy_check]

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -472,7 +474,7 @@ def test_asarray_names_a_dtype_that_is_not_an_integer():
     assert f.asarray(np.array([[2**70, -1]], dtype=object)).tolist() == [[2**70 % 101, 100]]
     for bad in (np.array([["12"]]), np.array([[b"12"]]), np.array([[1.0]]), np.array([[1j]]),
                 np.array([[1.5, 2]], dtype=object)):
-        with pytest.raises(BipolyError, match=f"must be integers, got {bad.dtype} input"):
+        with pytest.raises(BipolyError, match=re.escape(f"holds {bad.dtype} entries, not integers")):
             f.asarray(bad)
 
 
@@ -482,15 +484,15 @@ def test_asarray_keeps_a_list_that_numpy_promotes_to_float_exact():
     assert f.asarray([[2**63, 1]]).tolist() == [[90, 1]]
     assert f.asarray([[-1, 2**63]]).tolist() == [[100, 90]]
     for bad in ([[1.5, 2]], [[2**63, 1.0]]):
-        with pytest.raises(BipolyError, match="must be integers, got float64 input"):
+        with pytest.raises(BipolyError, match="holds float64 entries, not integers"):
             f.asarray(bad)
 
 
 def test_asarray_and_rank_name_a_ragged_input():
     f = prime_field(101)
-    with pytest.raises(DimensionMismatchError, match="must form a rectangular array"):
+    with pytest.raises(DimensionMismatchError, match="is a ragged nested sequence, not a rectangular array"):
         f.asarray([[1, 2], [1]])
-    with pytest.raises(DimensionMismatchError, match="must form a rectangular array"):
+    with pytest.raises(DimensionMismatchError, match="is a ragged nested sequence, not a rectangular array"):
         f.rank([[1, 2], [1]])
 
 
@@ -511,9 +513,9 @@ def test_mat_mul_refuses_operands_that_are_not_integers():
     f = prime_field(101)
     a, b = np.array([[1, 2]]), np.array([[3], [4]])
     for bad in (a + 0.5, a.astype(float), a.astype(str)):
-        with pytest.raises(BipolyError, match="must be integers"):
+        with pytest.raises(BipolyError, match="entries, not integers"):
             f.mat_mul(bad, b)
-        with pytest.raises(BipolyError, match="must be integers"):
+        with pytest.raises(BipolyError, match="entries, not integers"):
             f.mat_mul(b.T, bad.T)
 
 

@@ -319,6 +319,32 @@ def test_privacy_check_names_a_count_that_is_not_an_integer(K, m, match):
         perfect_privacy_check([EvalPoint(3, 1)], K=K, T=1, m=m, q=101)
 
 
+@pytest.mark.parametrize("check", [
+    sweep_collusion_subsets, mask_matrices, perfect_privacy_check, exhaustive_mi_check,
+])
+@pytest.mark.parametrize("change, match", [
+    (dict(K=-1), "^K must be >= 0, got -1$"),
+    (dict(T=-1), "^T must be >= 0, got -1$"),
+    (dict(m=-1), "^m must be >= 0, got -1$"),
+    (dict(K=2.5), "^K=2.5 is not an integer$"),
+    (dict(T=2.0), r"^T=2\.0 is not an integer$"),
+    (dict(m="2"), "^m='2' is not an integer$"),
+    (dict(q=5.0), r"^q=5\.0 is not an integer$"),
+    (dict(points=[EvalPoint(2, 1), (3, 1)]), r"^point 1 is \(3, 1\); expected an EvalPoint$"),
+    (dict(points=[EvalPoint(2, 1), EvalPoint(1.5, 1)]), r"^point 1: x=1\.5 is not an integer$"),
+    (dict(points=[EvalPoint(2, 1.0), EvalPoint(3, 1)]), r"^point 0: y=1\.0 is not an integer$"),
+], ids=["K-negative", "T-negative", "m-negative", "K-float", "T-float", "m-str", "q-float",
+        "point-tuple", "x-float", "y-float"])
+def test_every_check_refuses_a_bad_count_or_point(check, change, match):
+    # One rule for all four: the sweep once passed K = -1, m = -1 and
+    # K = 2.5 and raised bare errors for m = '2' and a tuple point, the
+    # rank check passed x = 1.5 as x = 1, and the enumeration raised a
+    # bare TypeError for T = 2.0.
+    args = {"points": [EvalPoint(2, 1), EvalPoint(3, 1)], "K": 1, "T": 2, "m": 1, "q": 5}
+    with pytest.raises(ParameterError, match=match):
+        check(**{**args, **change})
+
+
 # -- exhaustive mutual information --------------------------------------------
 
 

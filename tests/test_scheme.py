@@ -122,9 +122,9 @@ GOOD_R, GOOD_S = [_zeros(2, 3)] * 2, [[_zeros(3, 2)] * 2] * 2
         (GOOD_R, 5, "B-side masks: expected 2 x 2 blocks"),
         (GOOD_R, [5, 5], "B-side masks: expected 2 x 2 blocks"),
         ([_zeros(2, 3), [[1, 2, 3], [4]]], GOOD_S,
-         "A-side masks: field elements must form a rectangular array"),
+         "A-side masks: a block is a ragged nested sequence, not a rectangular array"),
         (GOOD_R, [[_zeros(3, 2), [[1], [2, 3], [4]]]] * 2,
-         "B-side masks: field elements must form a rectangular array"),
+         "B-side masks: a block is a ragged nested sequence, not a rectangular array"),
     ],
 )
 def test_encode_names_the_side_of_injected_masks_of_wrong_count_or_shape(
@@ -157,7 +157,7 @@ def test_encode_takes_list_operands_and_refuses_string_ones():
     ref = encode(p, a, b, np.random.default_rng(1)).shares
     assert bytes(listed.blob()) == bytes(ref.blob())
     assert np.array_equal(decode(p, compute_all(listed)).assembled, f.mat_mul(a, b))
-    with pytest.raises(BipolyError, match="must be integers, got <U"):
+    with pytest.raises(BipolyError, match="^A holds <U"):
         encode(p, a.astype(str), b, np.random.default_rng(1))
 
 
@@ -227,9 +227,9 @@ def test_encode_rejects_float_input():
     # Truncating 1.7 and 1.5 to 1 would decode to a wrong product.
     p = make_params(2, 2, 1, 2, 7, q=101)
     rng = np.random.default_rng(0)
-    with pytest.raises(BipolyError, match="must be integers"):
+    with pytest.raises(BipolyError, match="^A holds float64 entries, not integers$"):
         encode(p, np.full((4, 4), 1.7), np.eye(4) * 1.5, rng)
-    with pytest.raises(BipolyError, match="must be integers"):
+    with pytest.raises(BipolyError, match="^B holds complex128 entries, not integers$"):
         encode(p, np.eye(4, dtype=np.int64), np.eye(4) * 1j, rng)
 
 
@@ -315,6 +315,10 @@ def test_max_m_for_budget():
     assert max_m_for_budget(9, 1) == 1
     with pytest.raises(BudgetTooSmallError):
         max_m_for_budget(1, 5)
+    # These once returned 0 and -3, an m no SchemeParams accepts.
+    for cap in (0, -3):
+        with pytest.raises(ParameterError, match=f"^cap l must be >= 1, got {cap}$"):
+            max_m_for_budget(5, cap)
 
 
 # -- worker computation -------------------------------------------------------
@@ -632,6 +636,17 @@ def test_decode_names_a_ragged_product():
     bad[3] = replace(bad[3], product=[[1, 2], [3]])
     with pytest.raises(DimensionMismatchError,
                        match="^worker 2 order 1 product is a ragged nested sequence"):
+        decode(p, bad)
+
+
+def test_decode_names_a_product_that_is_not_integers():
+    # Once refused by the solve's asarray, which named no worker.
+    p = make_params(2, 2, 1, 2, 6, q=Q31)
+    _, _, _, results, _ = run_pipeline(p, 4, 4, 4)
+    bad = list(results)
+    bad[3] = replace(bad[3], product=bad[3].product + 0.0)
+    with pytest.raises(DimensionMismatchError,
+                       match="^worker 2 order 1 product holds float64 entries, not integers$"):
         decode(p, bad)
 
 

@@ -156,7 +156,7 @@ NOT_U64 = r"holds object entries, not integers in \[0, 2\*\*64\)"
         ([[1, 2], [1]], "is a ragged nested sequence"),
         (np.array([[2**64, 1], [1, 1]], dtype=object), NOT_U64),
         (np.array([[-1, 1], [1, 1]], dtype=object), NOT_U64),
-        (np.array([[0.5, 1], [1, 1]], dtype=object), NOT_U64),
+        (np.array([[0.5, 1], [1, 1]], dtype=object), "holds object entries, not integers$"),
     ],
     ids=["float-list", "integral-float", "str", "complex", "ragged", "object-2**64",
          "object-negative", "object-float"],
