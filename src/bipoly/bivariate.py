@@ -208,7 +208,7 @@ def _block_array(blocks, counts: tuple, what: str, field: PrimeField, shape=None
             raise DimensionMismatchError(f"{what}: expected {' x '.join(map(str, counts))} blocks")
         flat = [blk for level in flat for blk in level]
     block = f"{what}: a block"
-    flat = [field.asarray(as_int_array(blk, block, DimensionMismatchError)) for blk in flat]
+    flat = [field._reduce(as_int_array(blk, block, DimensionMismatchError)) for blk in flat]
     shape = flat[0].shape if shape is None else shape
     for blk in flat:
         if blk.shape != shape:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import json
 import os
 import sys
@@ -291,7 +292,14 @@ def _add_scheme_args(p: argparse.ArgumentParser, defaults: dict) -> None:
         p.add_argument(f"--{name}", type=int, default=default)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `bipoly` argument parser, built on the first call.
+
+    Every later call, and every `main` call, returns that same parser:
+    parsing leaves it unchanged, but a caller that adds arguments or
+    defaults to it changes them for the whole process.  Do not mutate it.
+    """
     parser = argparse.ArgumentParser(
         prog="bipoly",
         description="Private coded matrix multiplication: demos, analytics, "
@@ -346,8 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except IncompletableError as exc:

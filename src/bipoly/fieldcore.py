@@ -157,7 +157,10 @@ class PrimeField:
     def asarray(self, values) -> np.ndarray:
         """Canonical int64 field array from any integer array-like; as_int_array
         refuses any other input with a DimensionMismatchError."""
-        arr = as_int_array(values, "a field array", DimensionMismatchError)
+        return self._reduce(as_int_array(values, "a field array", DimensionMismatchError))
+
+    def _reduce(self, arr: np.ndarray) -> np.ndarray:
+        """asarray's reduction alone, for an array as_int_array has already passed."""
         if arr.dtype == object or arr.dtype == np.uint64:
             # Reduce before the int64 cast, which wraps values >= 2**63.
             return (arr % self.q).astype(np.int64)

@@ -78,11 +78,14 @@ def _coalition(
     points: Sequence[EvalPoint], K: int, T: int, m: int, q: int
 ) -> tuple[PrimeField, list[EvalPoint]]:
     """F_q and the points mod q, the inputs of every check here: q prime, K, T and m
-    integers >= 0, points EvalPoints of integers of any size; else a ParameterError."""
+    integers >= 0, points a sequence of EvalPoints of integers of any size; else a
+    ParameterError."""
     field = prime_field(q)
     for name, value in (("K", K), ("T", T), ("m", m)):
         if as_int(value, name, ParameterError) < 0:
             raise ParameterError(f"{name} must be >= 0, got {value}")
+    if not isinstance(points, Sequence):
+        raise ParameterError(f"points={points!r} is not a sequence of EvalPoints")
     reduced = []
     for i, point in enumerate(points):
         if not isinstance(point, EvalPoint):

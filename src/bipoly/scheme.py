@@ -145,13 +145,16 @@ def sample_points(params: SchemeParams, rng: np.random.Generator) -> list[EvalPo
 
 
 def _check_points(params: SchemeParams, points: Sequence[EvalPoint]) -> None:
-    """N points that head words can hold and that keep the shares private.
+    """A sequence of N points that head words can hold and that keep the shares
+    private.
 
     Every point is an EvalPoint of integers in [0, q).  With T >= 1 the
     x coordinates are also nonzero and pairwise distinct, as
     sample_points draws them: that is the condition under which every
     T-coalition learns nothing (privacy.sweep_collusion_subsets).
     """
+    if not isinstance(points, Sequence):
+        raise ParameterError(f"points={points!r} is not a sequence of EvalPoints")
     if len(points) != params.N:
         raise ParameterError(f"expected {params.N} evaluation points, got {len(points)}")
     seen: dict[int, int] = {}
@@ -221,8 +224,8 @@ def encode(
     # S[t][j], t-major.  Shares are generators times coefficients, one
     # kernel call per side for all N workers, written straight into the
     # wire blob, so each share is a read-only view of its worker's record.
-    coeffs_a = np.concatenate([field.asarray(a).reshape(K, br * s), masks_r.reshape(T, br * s)])
-    blocks_b = field.asarray(b).reshape(s, L, bc).transpose(1, 0, 2).reshape(L, s * bc)
+    coeffs_a = np.concatenate([field._reduce(a).reshape(K, br * s), masks_r.reshape(T, br * s)])
+    blocks_b = field._reduce(b).reshape(s, L, bc).transpose(1, 0, 2).reshape(L, s * bc)
     coeffs_b = np.concatenate([blocks_b, masks_s.reshape(T * m, s * bc)])
     gen_a, gen_b = generators(points, K, L, T, m, field)
     shares, side_a, side_b = share_set(params, (r, s, c), points)

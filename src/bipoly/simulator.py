@@ -7,8 +7,8 @@ ends when the recovery-threshold-th result arrives, decode time
 excluded.  `budget_sweep` is the one entry point: it draws one
 (trials x N) duration matrix from default_rng(seed), columns in
 worker-class order, and reads every (scheme, budget) completion time
-off it with one partial sort per distinct m: a k-th order statistic
-has the same value whichever other kth a partial sort also places.
+off it with one sort per distinct m and block of trials: the sorted
+row holds every order statistic, each threshold's at its own column.
 Each row reports the mean over the trials and its standard error.
 """
 
@@ -29,7 +29,7 @@ from .scheme import max_m_for_budget, recovery_threshold
 PROPOSED = "proposed"
 GASP = "gasp"
 
-# Trials per partial sort: bounds the (rows, N*m) arrival temporaries,
+# Trials per sort: bounds the (rows, N*m) arrival temporaries,
 # so memory grows with the (trials, N) duration matrix alone.
 _BLOCK_ROWS = 4096
 
@@ -73,7 +73,7 @@ def _completion_times(
     """(len(thresholds), trials) arrival times of each threshold-th result.
 
     Worker i delivers its j-th result at j times its duration, for
-    j = 1..m; each row of `durations` is one trial.  One partial sort
+    j = 1..m; each row of `durations` is one trial.  One in-place sort
     per block of trials places every threshold at once.  Each threshold
     must be at most N*m results; budget_sweep checks that first.
     """
@@ -83,7 +83,7 @@ def _completion_times(
     for lo in range(0, trials, _BLOCK_ROWS):
         block = durations[lo : lo + _BLOCK_ROWS, :, None] * np.arange(1, m + 1)
         arrivals = block.reshape(block.shape[0], -1)
-        arrivals.partition(sorted(set(cols)), axis=1)
+        arrivals.sort(axis=1)
         out[:, lo : lo + _BLOCK_ROWS] = arrivals[:, cols].T
     return out
 
@@ -130,7 +130,7 @@ def budget_sweep(
     One duration matrix drawn from the seed serves every point, so
     points that map to the same (m, threshold) produce identical rows
     and comparisons across budgets and schemes share their random
-    draws.  Each distinct m costs one partial sort per block of trials,
+    draws.  Each distinct m costs one sort per block of trials,
     which places all of that m's thresholds at once.
     """
     if isinstance(schemes, str):

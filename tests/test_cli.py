@@ -344,6 +344,29 @@ def test_stdout_matches_golden_hash(name, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == want_hash
 
 
+def test_one_parser_serves_every_call_in_a_process(tmp_path, capsys):
+    # main parses with the parser build_parser built once; no call may
+    # leave a value behind for the next, whatever order the calls come in
+    # and whatever fails between them.
+    assert cli.build_parser() is cli.build_parser()
+    names = sorted(GOLDEN_STDOUT)
+    for i, name in enumerate(names + names[::-1]):
+        if i == len(names):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["simulate"])
+            assert exc.value.code == 2
+            assert "--config" in capsys.readouterr().err
+            bad = tmp_path / "no-sim.cfg"
+            bad.write_text("[scheme]\nK = 2\nL = 2\nT = 1\nq = 101\n")
+            code, _, err = run(["simulate", "--config", str(bad)], capsys)
+            assert code == 1 and "missing [sim] section" in err
+        args, want_code, want_hash = GOLDEN_STDOUT[name]
+        code, out, _ = run(args, capsys)
+        assert code == want_code, name
+        assert hashlib.sha256(out.encode()).hexdigest() == want_hash, name
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_demo_dumps_match_golden_hashes(tmp_path, capsys):
     prefix = str(tmp_path / "run")
     code, _, _ = run(["demo", "--seed", "3", "--dump", prefix], capsys)

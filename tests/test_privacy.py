@@ -345,6 +345,17 @@ def test_every_check_refuses_a_bad_count_or_point(check, change, match):
         check(**{**args, **change})
 
 
+@pytest.mark.parametrize("check", [
+    sweep_collusion_subsets, mask_matrices, perfect_privacy_check, exhaustive_mi_check,
+])
+@pytest.mark.parametrize("points", [None, 5, iter([EvalPoint(2, 1), EvalPoint(3, 1)])],
+                         ids=["none", "int", "iterator"])
+def test_every_check_names_points_that_are_not_a_sequence(check, points):
+    # None and 5 once raised a bare TypeError from the point loop.
+    with pytest.raises(ParameterError, match=r"^points=.* is not a sequence of EvalPoints$"):
+        check(points, K=1, T=2, m=1, q=101)
+
+
 # -- exhaustive mutual information --------------------------------------------
 
 

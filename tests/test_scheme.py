@@ -285,6 +285,16 @@ def test_encode_at_t0_allows_repeated_and_zero_x_but_not_other_bad_points():
         encode(p, a, b, rng, points=points[:3])
 
 
+@pytest.mark.parametrize("points", [5, iter(POINTS_101)], ids=["int", "iterator"])
+def test_encode_names_injected_points_that_are_not_a_sequence(points):
+    # Both once raised a bare TypeError from len(points).
+    p = make_params(2, 2, 1, 2, 4, q=101)
+    rng = np.random.default_rng(4)
+    a, b = p.field.random_matrix(rng, 4, 4), p.field.random_matrix(rng, 4, 4)
+    with pytest.raises(ParameterError, match=r"^points=.* is not a sequence of EvalPoints$"):
+        encode(p, a, b, rng, points=points)
+
+
 def test_upload_cost_formula():
     # one element for each matrix in the smallest possible instance
     p = make_params(1, 1, 0, 1, 1, q=2)

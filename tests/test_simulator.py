@@ -66,7 +66,7 @@ def test_expected_time_matches_per_trial_loop():
     # One (trials x N) uniform draw, class by class; trial t completes at
     # the threshold-th smallest of j * duration over workers and j <= m.
     classes = (WorkerClass(3, 2.0, 0.1), WorkerClass(4, 0.5, 0.3))
-    trials = 5000  # more than one partial-sort block
+    trials = 5000  # more than one sort block
     got = point_times(classes, m=2, r_th=9, trials=trials, seed=11)
     rng = np.random.default_rng(11)
     u = [rng.random((trials, c.count)) for c in classes]
@@ -132,10 +132,10 @@ def test_budget_sweep_plateau_and_csv():
 
 @pytest.mark.parametrize("config", ["heterogeneous", "homogeneous"])
 def test_budget_sweep_rows_equal_expected_time_per_point(config):
-    # One partial sort per m serves every (scheme, budget) point; each row
+    # One sort per m serves every (scheme, budget) point; each row
     # must equal the single-threshold estimate for its (m, R_th) exactly.
     cfg = load_sim_config(config)
-    trials, seed = 5000, 17  # two partial-sort blocks
+    trials, seed = 5000, 17  # two sort blocks
     rows = budget_sweep(
         cfg["classes"], cfg["params"], range(2, 11), (PROPOSED, GASP), trials, seed
     )
@@ -156,6 +156,18 @@ def test_completion_times_many_thresholds_equal_single_calls():
     assert got.shape == (5, 4200)
     for row, r_th in zip(got, thresholds):
         assert np.array_equal(row, _completion_times(durations, 3, [r_th])[0])
+
+
+def test_completion_times_equal_a_per_trial_sort_at_both_ends():
+    # The fastest and the last of the N*m results, each trial sorted on its
+    # own in Python, over two sort blocks (4096 rows and then 104).
+    classes = (WorkerClass(3, 2.0, 0.1), WorkerClass(2, 0.5, 0.3))
+    durations = _durations(classes, 4200, np.random.default_rng(5))
+    m, n_results = 3, 5 * 3
+    got = _completion_times(durations, m, [1, n_results])
+    for t, row in enumerate(durations):
+        arrivals = sorted(float(d) * j for d in row for j in range(1, m + 1))
+        assert (got[0, t], got[1, t]) == (arrivals[0], arrivals[-1])
 
 
 def test_budget_sweep_raises_first_incompletable_point():
